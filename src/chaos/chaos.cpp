@@ -93,9 +93,9 @@ bool consult_fail(Site s, const rt::PedigreeState& ped) noexcept {
 
 bool consult_fail_here(Site s) noexcept {
   // Order matters: the suppress/worker gates in consult() run before the
-  // hash, so this current_pedigree() reference is only ever WALKED on a
+  // hash, so this current_strand() pedigree is only ever WALKED on a
   // worker thread executing a live strand.
-  return consult(s, rt::current_pedigree(), /*fault=*/true);
+  return consult(s, rt::current_strand().ped, /*fault=*/true);
 }
 
 void consult_delay(Site s, const rt::PedigreeState& ped) noexcept {
@@ -103,7 +103,7 @@ void consult_delay(Site s, const rt::PedigreeState& ped) noexcept {
 }
 
 void consult_delay_here(Site s) noexcept {
-  consult_delay(s, rt::current_pedigree());
+  consult_delay(s, rt::current_strand().ped);
 }
 
 }  // namespace detail

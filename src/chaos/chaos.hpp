@@ -121,7 +121,7 @@ inline bool should_fail(Site s) noexcept {
 }
 
 /// Fault consult keyed on an explicit pedigree — for scheduler-context
-/// sites where current_pedigree() is not the faulting strand's (e.g. the
+/// sites where current_strand().ped is not the faulting strand's (e.g. the
 /// fiber acquire for a stolen frame is keyed on that frame's snapshot).
 inline bool should_fail(Site s, const rt::PedigreeState& ped) noexcept {
   return enabled() && detail::consult_fail(s, ped);
@@ -140,7 +140,7 @@ inline void maybe_delay(Site s, const rt::PedigreeState& ped) noexcept {
 /// injected throw could NOT unwind safely — merges/deposits/installs at
 /// joins and the fiber-header allocation in Worker::launch run inside the
 /// scheduler's machinery, outside any SpawnFrame::eptr catch, so a
-/// bad_alloc there would escape into fiber_main/scheduler_loop and
+/// bad_alloc there would escape into the join routines/scheduler_loop and
 /// terminate. Fault sites check the (thread-local, nestable) counter before
 /// hashing; delay sites are unaffected.
 class SuppressFaults {

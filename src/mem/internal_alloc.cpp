@@ -49,23 +49,27 @@ InternalAlloc::Magazine::~Magazine() {
   if (owner != nullptr) owner->flush(*this);
 }
 
+namespace {
+
+/// CAS-max `live` into `peak`; racing updates keep the maximum either way.
+/// Compared as signed: a magazine whose frees outnumber its allocations
+/// folds in a net-negative delta, so a live count can be transiently below
+/// zero (wrapped as unsigned), and such a value must never become a peak.
+void raise_peak(std::atomic<std::uint64_t>& peak, std::uint64_t live) noexcept {
+  std::uint64_t seen = peak.load(std::memory_order_relaxed);
+  while (static_cast<std::int64_t>(live) > static_cast<std::int64_t>(seen) &&
+         !peak.compare_exchange_weak(seen, live, std::memory_order_relaxed)) {
+  }
+}
+
+}  // namespace
+
 void InternalAlloc::note_alloc(TagCounters& c, std::size_t bytes) noexcept {
   c.allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t blocks =
-      c.live_blocks.fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::uint64_t total =
-      c.live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  // CAS-max peaks: racing updates keep the maximum either way.
-  std::uint64_t peak = c.peak_blocks.load(std::memory_order_relaxed);
-  while (blocks > peak &&
-         !c.peak_blocks.compare_exchange_weak(peak, blocks,
-                                              std::memory_order_relaxed)) {
-  }
-  peak = c.peak_bytes.load(std::memory_order_relaxed);
-  while (total > peak &&
-         !c.peak_bytes.compare_exchange_weak(peak, total,
-                                             std::memory_order_relaxed)) {
-  }
+  raise_peak(c.peak_blocks,
+             c.live_blocks.fetch_add(1, std::memory_order_relaxed) + 1);
+  raise_peak(c.peak_bytes,
+             c.live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes);
 }
 
 void InternalAlloc::note_free(TagCounters& c, std::size_t bytes) noexcept {
@@ -79,24 +83,13 @@ void InternalAlloc::reconcile(Magazine& mag, AllocTag tag) noexcept {
   TagCounters& c = counters_[static_cast<std::size_t>(tag)];
   c.allocs.fetch_add(p.allocs, std::memory_order_relaxed);
   // Negative deltas ride two's-complement wraparound of the unsigned add.
-  const std::uint64_t blocks =
-      c.live_blocks.fetch_add(static_cast<std::uint64_t>(p.blocks),
-                              std::memory_order_relaxed) +
-      static_cast<std::uint64_t>(p.blocks);
-  const std::uint64_t bytes =
-      c.live_bytes.fetch_add(static_cast<std::uint64_t>(p.bytes),
-                             std::memory_order_relaxed) +
-      static_cast<std::uint64_t>(p.bytes);
-  std::uint64_t peak = c.peak_blocks.load(std::memory_order_relaxed);
-  while (blocks > peak &&
-         !c.peak_blocks.compare_exchange_weak(peak, blocks,
-                                              std::memory_order_relaxed)) {
-  }
-  peak = c.peak_bytes.load(std::memory_order_relaxed);
-  while (bytes > peak &&
-         !c.peak_bytes.compare_exchange_weak(peak, bytes,
-                                             std::memory_order_relaxed)) {
-  }
+  const auto blocks = static_cast<std::uint64_t>(p.blocks);
+  const auto bytes = static_cast<std::uint64_t>(p.bytes);
+  raise_peak(c.peak_blocks,
+             c.live_blocks.fetch_add(blocks, std::memory_order_relaxed) +
+                 blocks);
+  raise_peak(c.peak_bytes,
+             c.live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes);
   p = {};
 }
 

@@ -6,18 +6,6 @@ namespace detail {
 std::atomic<bool> g_profiler_enabled{false};
 }  // namespace detail
 
-namespace {
-thread_local ProfileState tls_profile;
-}  // namespace
-
-// Out of line and noinline on purpose — see the declaration (and the twin
-// comment on rt::current_pedigree()): an inlined accessor would let the
-// thread-local's address survive a fiber migration and charge strand time to
-// the departed thread's accumulators.
-__attribute__((noinline)) ProfileState& current_profile() noexcept {
-  return tls_profile;
-}
-
 Profiler& Profiler::instance() {
   static Profiler profiler;
   return profiler;

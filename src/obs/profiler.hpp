@@ -1,8 +1,7 @@
 // Cilkview-style work/span profiler (the scalability-analyzer lineage of the
-// source paper's runtime family). When enabled, fork2join and fiber_main
-// maintain a per-strand ProfileState alongside the pedigree: every strand's
-// elapsed time is charged to both `work` (T1) and `span`, and at each join
-// the two branches' subcomputation totals combine as
+// source paper's runtime family). When enabled, every strand's elapsed time is
+// charged to both `work` (T1) and `span`, and at each join the two branches'
+// subcomputation totals combine as
 //
 //   work   = work(spawner-prefix) + work(a) + work(b)
 //   span   = span(spawner-prefix) + max(span(a), span(b))
@@ -17,11 +16,13 @@
 // parallelism T1/burdened-span is the paper-facing number: how much
 // parallelism survives the reduce machinery the paper's Figure 8 attributes.
 //
-// The state travels exactly like the pedigree: a thread-local re-seated at
-// every point a strand (re)starts on an OS thread, with stolen branches
-// publishing their totals through SpawnFrame::prof_* before the join
-// arrival. All hooks are gated on profiler_enabled(): with the profiler off,
-// the fork2join fast path pays one relaxed load and a predicted branch.
+// The accumulators live in the runtime's one thread-local strand record
+// (rt::StrandState, runtime/pedigree.hpp) beside the pedigree, so the
+// begin/end/join transitions that seat a strand's pedigree also time it.
+// Stolen branches publish their totals through SpawnFrame::prof_b before the
+// join arrival. All accounting is gated on profiler_enabled(): with the
+// profiler off, the fork2join fast path pays one relaxed load and predicted
+// branches, and BurdenTimer does nothing.
 //
 // Accounting is only meaningful for runs that complete without escaping
 // exceptions, and the enable flag must not change while a run is in flight.
@@ -34,13 +35,18 @@
 
 namespace cilkm::obs {
 
-/// The calling strand's accumulators for the innermost open subcomputation.
-/// `work`/`span`/`burden` are ns totals since the subcomputation began;
-/// `strand_start` is when the currently running strand was (re)started.
-struct ProfileState {
-  std::uint64_t work = 0;
-  std::uint64_t span = 0;
-  std::uint64_t burden = 0;
+/// A closed subcomputation's ns totals. No default member initializers on
+/// purpose: SpawnFrame embeds one, and the profiler-off fork2join path must
+/// not pay the stores (value-initialize with `{}` where zeros are meant).
+struct Totals {
+  std::uint64_t work;
+  std::uint64_t span;
+  std::uint64_t burden;
+};
+
+/// The calling strand's accumulators for the innermost open subcomputation:
+/// the Totals since it began, plus when the running strand was (re)started.
+struct ProfileState : Totals {
   std::uint64_t strand_start = 0;
 };
 
@@ -55,13 +61,6 @@ inline bool profiler_enabled() noexcept {
   return detail::g_profiler_enabled.load(std::memory_order_relaxed);
 }
 
-/// The current strand's profile state. Deliberately OUT OF LINE and noinline
-/// for the same reason as rt::current_pedigree(): fibers migrate between OS
-/// threads at joins, and a CSE'd thread-local address would charge a resumed
-/// strand's time to the thread it departed. Re-fetch after any fork2join or
-/// scheduler call; never cache across them.
-ProfileState& current_profile() noexcept;
-
 /// Start timing a strand on the current thread.
 inline void strand_begin(ProfileState& ps) noexcept {
   ps.strand_start = now_ns();
@@ -75,6 +74,25 @@ inline void strand_end(ProfileState& ps) noexcept {
   ps.span += d;
   ps.burden += d;
 }
+
+/// Charges the enclosing scope's elapsed ns to `*slot` — a join-protocol
+/// step's burden — when the profiler is on; does nothing when it is off.
+class BurdenTimer {
+ public:
+  explicit BurdenTimer(std::uint64_t* slot) noexcept
+      : slot_(profiler_enabled() ? slot : nullptr),
+        start_(slot_ != nullptr ? now_ns() : 0) {}
+  ~BurdenTimer() {
+    if (slot_ != nullptr) *slot_ += now_ns() - start_;
+  }
+
+  BurdenTimer(const BurdenTimer&) = delete;
+  BurdenTimer& operator=(const BurdenTimer&) = delete;
+
+ private:
+  std::uint64_t* slot_;
+  std::uint64_t start_;
+};
 
 /// Accumulated totals over the runs recorded since the last reset(), summed
 /// so multi-rep cells report per-run means without the collector caring how
@@ -97,7 +115,7 @@ struct RunProfile {
   }
 };
 
-/// Process-wide collector. fiber_main's root-completion path records one
+/// Process-wide collector. The runtime's root-completion path records one
 /// entry per scheduler run; readers consume totals after run() returns
 /// (quiescence orders the plain fields, exactly like WorkerStats).
 class Profiler {
@@ -114,7 +132,9 @@ class Profiler {
   void reset() noexcept { totals_ = {}; }
 
   /// Root-done hook: `final_state` is the root strand's combined totals.
-  void record_run(const ProfileState& final_state) noexcept {
+  /// Records nothing while the profiler is off.
+  void record_run(const Totals& final_state) noexcept {
+    if (!profiler_enabled()) return;
     ++totals_.runs;
     totals_.work_ns += final_state.work;
     totals_.span_ns += final_state.span;

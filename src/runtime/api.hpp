@@ -35,114 +35,67 @@ namespace cilkm {
 /// (the continuation migrates at a joining steal); do not cache
 /// thread-identity-dependent state across this call.
 ///
-/// Work/span profiling (obs/profiler.hpp): under --profile every strand
-/// boundary here closes the running strand, opens the branch's fresh
-/// subcomputation accumulators, and combines work additively / span and
-/// burden by max at the join — the serial elision, the un-stolen fast path,
-/// and the stolen slow path all apply the identical combine rule, so the
-/// reported span is the DAG's span under every schedule. Off, the only cost
-/// is one relaxed load and predicted branches.
+/// Strand bookkeeping (runtime/pedigree.hpp StrandState): every transition
+/// here — spawning strand closed, child begun, continuation begun, join
+/// combined — is one method on the thread's strand record, which seats the
+/// pedigree and, under --profile, times the strand. The serial elision, the
+/// un-stolen fast path, and the stolen slow path apply the identical
+/// transitions and differ only in where b's totals come from (the local
+/// strand, or the thief's publication in the frame), so pedigrees and the
+/// reported span are the same under every schedule. Profiler off, the only
+/// cost is one relaxed load and predicted branches.
 template <typename A, typename B>
 void fork2join(A&& a, B&& b) {
   rt::Worker* w = rt::Worker::current();
-  rt::PedigreeState& ped = rt::current_pedigree();
-  const rt::PedigreeNode* const spawn_parent = ped.parent;
-  const std::uint64_t spawn_rank = ped.rank;
-  rt::PedigreeNode child_node{spawn_rank, spawn_parent};
+  rt::StrandState& s = rt::current_strand();
+  const rt::PedigreeState at = s.ped;  // the spawn point: prefix, rank r
+  rt::PedigreeNode child_node{at.rank, at.parent};
   const bool prof = obs::profiler_enabled();
-  std::uint64_t sv_work = 0, sv_span = 0, sv_burden = 0;
-  std::uint64_t a_work = 0, a_span = 0, a_burden = 0;
-  if (prof) {
-    // Close the spawning strand and save its prefix totals; the child runs
-    // with fresh accumulators.
-    obs::ProfileState& ps = obs::current_profile();
-    obs::strand_end(ps);
-    sv_work = ps.work;
-    sv_span = ps.span;
-    sv_burden = ps.burden;
-  }
+  // Close the spawning strand; its prefix totals resume past the join.
+  const obs::Totals prefix = s.end(prof);
   if (w != nullptr && !w->serial_spawns()) {
     rt::SpawnFrameT<std::remove_reference_t<B>> frame(&b);
-    // The pedigree snapshot must be complete before the push: a thief may
-    // promote the frame (and read these fields) immediately.
-    frame.ped_parent = spawn_parent;
-    frame.ped_rank = spawn_rank;
-    if (prof) {
-      // Like the pedigree: the profiler slots must be valid before the push.
-      // The thief overwrites prof_work/span/burden, but prof_burden_left only
-      // ever accumulates victim-side protocol costs.
-      frame.prof_work = 0;
-      frame.prof_span = 0;
-      frame.prof_burden = 0;
-      frame.prof_burden_left = 0;
-    }
+    // The pedigree snapshot (and the victim's burden slot) must be complete
+    // before the push: a thief may promote the frame (and read these
+    // fields) immediately.
+    frame.ped_parent = at.parent;
+    frame.ped_rank = at.rank;
+    if (prof) frame.prof_burden_left = 0;
     // An injected push fault or a genuinely full deque both land on the
     // serial tail below: the child runs in place, exactly as in the serial
     // elision, and the process survives what used to be a capacity abort.
     if (!chaos::should_fail(chaos::Site::kDequePush) &&
         w->deque().push(&frame)) {
-      ped = {&child_node, 0};
-      if (prof) {
-        obs::ProfileState& ps = obs::current_profile();
-        ps = {};
-        obs::strand_begin(ps);
-      }
+      s.begin({&child_node, 0}, prof);
       std::exception_ptr a_eptr;
       try {
         a();
       } catch (...) {
         a_eptr = std::current_exception();
       }
-      // `w` (and the thread-local pedigree slot) may be stale if a() itself
+      // `w` (and the thread-local strand record) may be stale if a() itself
       // migrated at an inner join; re-fetch both.
-      rt::Worker* w2 = rt::Worker::current();
-      if (prof) {
-        obs::ProfileState& ps = obs::current_profile();
-        obs::strand_end(ps);
-        a_work = ps.work;
-        a_span = ps.span;
-        a_burden = ps.burden;
-      }
-      rt::SpawnFrame* popped = w2->deque().take_if(&frame);
-      if (popped == &frame) {
+      rt::StrandState& sa = rt::current_strand();
+      obs::Totals a_tot = sa.end(prof);
+      if (rt::Worker::current()->deque().take_if(&frame) == &frame) {
         // Fast path: not stolen. Mirrors serial execution; no view
         // operations.
-        rt::current_pedigree() = {spawn_parent, spawn_rank + 1};
+        sa.begin({at.parent, at.rank + 1}, prof);
         if (a_eptr) std::rethrow_exception(a_eptr);
-        if (prof) {
-          obs::ProfileState& ps = obs::current_profile();
-          ps = {};
-          obs::strand_begin(ps);
-        }
         b();
-        rt::current_pedigree() = {spawn_parent, spawn_rank + 2};
-        if (prof) {
-          obs::ProfileState& ps = obs::current_profile();
-          obs::strand_end(ps);
-          ps.work = sv_work + a_work + ps.work;
-          ps.span = sv_span + std::max(a_span, ps.span);
-          ps.burden = sv_burden + std::max(a_burden, ps.burden);
-          obs::strand_begin(ps);
-        }
+        rt::StrandState& sb = rt::current_strand();
+        sb.join({at.parent, at.rank + 2}, prof, prefix, a_tot, sb.end(prof));
         return;
       }
       // Slow path: the continuation was (or is being) stolen. b runs (or
-      // ran) on the thief at rank r+1 (fiber_main seats it from the frame).
+      // ran) on the thief at rank r+1, which published b's totals in the
+      // frame before its release arrival; every victim-side protocol cost
+      // landed in prof_burden_left. This thread may not be the one that ran
+      // a() — re-fetch the record.
       rt::Worker::join_slow(&frame);
-      if (prof) {
-        // Both branches have arrived: the thief published b's totals in the
-        // frame (before its release arrival, so they are visible here), and
-        // every victim-side protocol cost landed in prof_burden_left. This
-        // thread may not be the one that ran a() — re-fetch the slot.
-        obs::ProfileState& ps = obs::current_profile();
-        ps.work = sv_work + a_work + frame.prof_work;
-        ps.span = sv_span + std::max(a_span, frame.prof_span);
-        ps.burden =
-            sv_burden + std::max(a_burden + frame.prof_burden_left,
-                                 frame.prof_burden);
-        obs::strand_begin(ps);
-      }
-      rt::current_pedigree() = {spawn_parent, spawn_rank + 2};
+      if (prof) a_tot.burden += frame.prof_burden_left;
+      rt::current_strand().join({at.parent, at.rank + 2}, prof, prefix, a_tot,
+                                frame.prof_b);
       if (a_eptr) std::rethrow_exception(a_eptr);
       // Rethrow-and-clear: this frame's storage is recycled through the
       // tagged allocator, and a stale exception_ptr must never survive into
@@ -154,38 +107,18 @@ void fork2join(A&& a, B&& b) {
     }
     ++w->stats()[StatCounter::kSerialDegrades];
   }
-  // Serial execution in place, advancing the pedigree through the identical
-  // spawn/sync transitions. Three callers share this tail: the serial
-  // elision (no scheduler), a degraded (fiber-less) frame whose worker
-  // forces nested spawns serial, and a spawn whose push was refused (deque
-  // full or injected chaos fault).
-  ped = {&child_node, 0};
-  if (prof) {
-    obs::ProfileState& ps = obs::current_profile();
-    ps = {};
-    obs::strand_begin(ps);
-  }
+  // Serial execution in place, through the identical strand transitions.
+  // Three callers share this tail: the serial elision (no scheduler), a
+  // degraded (fiber-less) frame whose worker forces nested spawns serial,
+  // and a spawn whose push was refused (deque full or injected chaos fault).
+  s.begin({&child_node, 0}, prof);
   a();
-  rt::current_pedigree() = {spawn_parent, spawn_rank + 1};
-  if (prof) {
-    obs::ProfileState& ps = obs::current_profile();
-    obs::strand_end(ps);
-    a_work = ps.work;
-    a_span = ps.span;
-    a_burden = ps.burden;
-    ps = {};
-    obs::strand_begin(ps);
-  }
+  rt::StrandState& sa = rt::current_strand();
+  const obs::Totals a_tot = sa.end(prof);
+  sa.begin({at.parent, at.rank + 1}, prof);
   b();
-  rt::current_pedigree() = {spawn_parent, spawn_rank + 2};
-  if (prof) {
-    obs::ProfileState& ps = obs::current_profile();
-    obs::strand_end(ps);
-    ps.work = sv_work + a_work + ps.work;
-    ps.span = sv_span + std::max(a_span, ps.span);
-    ps.burden = sv_burden + std::max(a_burden, ps.burden);
-    obs::strand_begin(ps);
-  }
+  rt::StrandState& sb = rt::current_strand();
+  sb.join({at.parent, at.rank + 2}, prof, prefix, a_tot, sb.end(prof));
 }
 
 /// Run all invocables, allowing them to execute in parallel; serial order is

@@ -10,6 +10,7 @@
 #include <exception>
 
 #include "mem/internal_alloc.hpp"
+#include "obs/profiler.hpp"
 #include "runtime/context.hpp"
 #include "runtime/pedigree.hpp"
 #include "runtime/stack_pool.hpp"
@@ -45,9 +46,6 @@ struct SpawnFrame {
   /// views and went back to work-stealing.
   std::atomic<int> arrivals{0};
 
-  /// Set by a thief at steal time (statistics / assertions only).
-  std::atomic<bool> stolen{false};
-
   /// The victim's suspended continuation (valid once the victim's scheduler
   /// announces its arrival) and its fiber for bookkeeping.
   Context parked;
@@ -61,24 +59,23 @@ struct SpawnFrame {
   /// Exception thrown by the stolen branch, rethrown at the join.
   std::exception_ptr eptr;
 
-  /// Work/span profiler slots (obs/profiler.hpp), meaningful only when the
-  /// profiler is enabled. The thief (or self-pop fiber) publishes the stolen
-  /// branch's subcomputation totals in prof_work/prof_span/prof_burden
-  /// before announcing its join arrival; the victim accumulates its own
-  /// protocol costs (deposit, reinstall, merge) into prof_burden_left. The
-  /// resumed continuation combines both sides at the join. Deliberately
-  /// UNINITIALIZED: the profiler-off hot path must not pay the stores —
-  /// fork2join zeroes them only under profiling, before the frame is pushed.
-  std::uint64_t prof_work;
-  std::uint64_t prof_span;
-  std::uint64_t prof_burden;
+  /// Work/span profiler slots (obs/profiler.hpp). The thief (or self-pop
+  /// fiber) publishes the stolen branch's subcomputation totals in prof_b
+  /// before announcing its join arrival; under profiling the victim
+  /// accumulates its own protocol costs (deposit, reinstall, merge) into
+  /// prof_burden_left. The resumed continuation combines both sides at the
+  /// join. Deliberately UNINITIALIZED: the profiler-off hot path must not pay
+  /// the stores — fork2join zeroes prof_burden_left only under profiling,
+  /// before the frame is pushed.
+  obs::Totals prof_b;
   std::uint64_t prof_burden_left;
 
   /// Pedigree snapshot of the spawning strand, written by fork2join BEFORE
   /// the frame is pushed (a thief may promote it immediately) and immutable
   /// afterwards. Whoever runs the continuation — the spawner's own fast
-  /// path, a thief, or a self-pop — resumes it at rank ped_rank + 1 under
-  /// the ped_parent prefix; the strand past the join runs at ped_rank + 2.
+  /// path, a thief, or a self-pop — begins the thread's strand record
+  /// (StrandState, runtime/pedigree.hpp) at rank ped_rank + 1 under the
+  /// ped_parent prefix; the strand past the join runs at ped_rank + 2.
   /// The chain nodes live in ancestor fork2join stack frames, all of which
   /// are suspended until this frame's join completes.
   const PedigreeNode* ped_parent = nullptr;

@@ -3,16 +3,16 @@
 namespace cilkm::rt {
 
 namespace {
-thread_local PedigreeState tls_pedigree;
+constinit thread_local StrandState tls_strand;
 }  // namespace
 
 // Out of line and noinline on purpose — see the declaration. An inlined
-// accessor would let the address of tls_pedigree be computed once and
+// accessor would let the address of tls_strand be computed once and
 // reused after a fiber migrates to another OS thread, silently mutating
-// the departed thread's pedigree (observed as a TSan race between
+// the departed thread's record (observed as a TSan race between
 // fork2join's post-join reseat and the other thread's own spawns).
-__attribute__((noinline)) PedigreeState& current_pedigree() noexcept {
-  return tls_pedigree;
+__attribute__((noinline)) StrandState& current_strand() noexcept {
+  return tls_strand;
 }
 
 }  // namespace cilkm::rt

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <thread>
+#include <utility>
 
 #include "chaos/chaos.hpp"
 #include "obs/profiler.hpp"
@@ -52,6 +53,53 @@ void Worker::merge_right(ViewSetDeposit* in) {
   views_.merge_deposit_right(in);
 }
 
+void Worker::deposit(SpawnFrame* frame, bool victim) {
+  Tracer::instance().record(
+      id_, victim ? TraceEvent::kDepositLeft : TraceEvent::kDepositRight,
+      frame);
+  // Scoped to this call, not to the caller: a fiber that never returns
+  // must not hold a SuppressFaults open across its context switch, or the
+  // thread-local count would leak and mute injection on this worker
+  // forever.
+  chaos::SuppressFaults suppress;
+  chaos::maybe_delay(chaos::Site::kDepositDelay);
+  // View-transferal burden, charged before the arrival announcement (or the
+  // park whose announcement the scheduler loop makes), so whoever resumes
+  // the continuation observes the final value.
+  obs::BurdenTimer burden(victim ? &frame->prof_burden_left
+                                 : &frame->prof_b.burden);
+  views_.deposit_ambient(victim ? &frame->left_views : &frame->right_views);
+}
+
+void Worker::reinstall(SpawnFrame* frame, std::uint64_t* burden_slot) {
+  chaos::SuppressFaults suppress;
+  chaos::maybe_delay(chaos::Site::kInstallDelay);
+  // The continuation resumes on this thread right after, so this burden
+  // store is ordered before its read.
+  obs::BurdenTimer burden(burden_slot);
+  views_.install_deposit(&frame->left_views);
+  merge_right(&frame->right_views);
+}
+
+void Worker::resume_parked(SpawnFrame* frame, Context* from, TraceEvent ev) {
+  Tracer::instance().record(id_, ev, frame);
+  // Only a fiber recycles itself; the scheduler context has no fiber of its
+  // own, and current_fiber_ may still name a parked one there.
+  if (from != &sched_ctx_) pending_recycle_ = current_fiber_;
+  current_fiber_ = frame->parked_fiber;
+  tsan::switch_to(frame->parked_fiber->tsan_fiber);
+  cilkm_ctx_switch(from, &frame->parked);
+}
+
+void Worker::yield_to_scheduler(Context* from) {
+  if (from == &sched_ctx_) return;  // degraded: already on the loop's stack
+  pending_recycle_ = current_fiber_;
+  current_fiber_ = nullptr;
+  tsan::switch_to(sched_tsan_);
+  cilkm_ctx_switch(from, &sched_ctx_);
+  __builtin_unreachable();
+}
+
 void Worker::drain_pending() {
   if (pending_recycle_ != nullptr) {
     StackPool::instance().release(pending_recycle_, &fiber_cache_);
@@ -59,157 +107,96 @@ void Worker::drain_pending() {
   }
 }
 
-/// Trampoline for every fiber: runs either the root task or a stolen branch,
-/// then performs the thief side of the join protocol. Never returns.
+/// Trampoline for every fiber: runs the launched root task or stolen branch
+/// and its join. Never returns.
 void fiber_main(void* arg) {
   auto* self = static_cast<Fiber*>(arg);
   Worker* w = Worker::current();
   w->drain_pending();
-  SpawnFrame* frame = w->launch_frame_;
-  w->launch_frame_ = nullptr;
+  w->run_launched(std::exchange(w->launch_frame_, nullptr), &self->ctx);
+  __builtin_unreachable();
+}
 
+void Worker::run_launched(SpawnFrame* frame, Context* from) {
   const bool prof = obs::profiler_enabled();
   if (frame == nullptr) {
     // Root task: every run() starts from the root pedigree, so pedigrees
     // (and DPRNG streams) are reproducible per run, not per pool lifetime.
-    current_pedigree() = PedigreeState{};
-    if (prof) {
-      // The root strand opens the run's outermost subcomputation; its final
-      // combined state IS the run's work/span/burden.
-      obs::ProfileState& ps = obs::current_profile();
-      ps = {};
-      obs::strand_begin(ps);
-    }
-    Scheduler* sched = w->scheduler();
+    // Its profile opens the run's outermost subcomputation.
+    current_strand().begin({}, prof);
     try {
-      sched->root_fn_();
+      sched_->root_fn_();
     } catch (...) {
-      sched->root_eptr_ = std::current_exception();
+      sched_->root_eptr_ = std::current_exception();
     }
-    Worker* w2 = Worker::current();  // the root may have migrated
-    if (prof) {
-      obs::ProfileState& ps = obs::current_profile();  // re-fetch: migration
-      obs::strand_end(ps);
-      obs::Profiler::instance().record_run(ps);
+  } else {
+    // A promoted frame resumes the continuation strand: rank ped_rank + 1
+    // under the spawn-time prefix, exactly where the victim's fast path
+    // would have resumed it (thieves and self-pops alike). The stolen branch
+    // is a fresh subcomputation whose burden starts at the steal latency
+    // that delivered the frame (0 for a self-pop).
+    current_strand().begin({frame->ped_parent, frame->ped_rank + 1}, prof,
+                           launch_burden_ns_);
+    try {
+      frame->invoke_b(frame);
+    } catch (...) {
+      frame->eptr = std::current_exception();
     }
-    w2->views().collapse_into_leftmosts();
-    w2->pending_recycle_ = w2->current_fiber_;
-    w2->current_fiber_ = nullptr;
-    Tracer::instance().record(w2->id(), TraceEvent::kRootDone, nullptr);
-    w2->scheduler()->done_.store(true, std::memory_order_release);
-    // Idle workers may be parked on the lot; they must all observe the done
-    // flag to quiesce the run.
-    w2->stats_[StatCounter::kWakes] += w2->scheduler()->parking_.wake_all();
-    tsan::switch_to(w2->sched_tsan_);
-    cilkm_ctx_switch(&self->ctx, &w2->sched_ctx_);
-    __builtin_unreachable();
   }
+  Worker* w = Worker::current();  // a fiber's strand may have migrated
+  // A degraded strand's forced-serial spawns end with its body: the join
+  // below may resume a parked continuation, which must spawn normally.
+  w->serial_mode_ = false;
+  if (frame == nullptr) {
+    w->complete_root(from);
+  } else {
+    w->join_thief(frame, from);
+  }
+}
 
-  // A promoted frame resumes the continuation strand: rank ped_rank + 1
-  // under the spawn-time prefix, exactly where the victim's fast path would
-  // have resumed it. Seating this thread-local here covers thieves AND
-  // self-pops (both launch through fiber_main).
-  current_pedigree() = {frame->ped_parent, frame->ped_rank + 1};
-  if (prof) {
-    // The stolen branch is a fresh subcomputation; seed its burden with the
-    // steal latency that delivered this frame (0 for a self-pop), so the
-    // scheduling cost of getting here is charged to this path.
-    obs::ProfileState& ps = obs::current_profile();
-    ps = {};
-    ps.burden = w->launch_burden_ns_;
-    obs::strand_begin(ps);
-  }
-  try {
-    frame->invoke_b(frame);
-  } catch (...) {
-    frame->eptr = std::current_exception();
-  }
-  Worker* w2 = Worker::current();
-  if (prof) {
-    // Publish b's totals in the frame BEFORE any arrival announcement: the
-    // release fetch_add below (or the victim's acquire load of arrivals)
-    // makes them visible to whoever resumes the continuation.
-    obs::ProfileState& ps = obs::current_profile();  // re-fetch: migration
-    obs::strand_end(ps);
-    frame->prof_work = ps.work;
-    frame->prof_span = ps.span;
-    frame->prof_burden = ps.burden;
-  }
+void Worker::complete_root(Context* from) {
+  // The root strand's final combined state IS the run's work/span/burden.
+  obs::Profiler::instance().record_run(
+      current_strand().end(obs::profiler_enabled()));
+  views_.collapse_into_leftmosts();
+  Tracer::instance().record(id_, TraceEvent::kRootDone, nullptr);
+  sched_->done_.store(true, std::memory_order_release);
+  // Idle workers may be parked on the lot; they must all observe the done
+  // flag to quiesce the run.
+  stats_[StatCounter::kWakes] += sched_->parking_.wake_all();
+  yield_to_scheduler(from);
+}
+
+void Worker::join_thief(SpawnFrame* frame, Context* from) {
+  // Publish b's totals in the frame BEFORE any arrival announcement: the
+  // release fetch_add below (or the victim's acquire load of arrivals)
+  // makes them visible to whoever resumes the continuation.
+  frame->prof_b = current_strand().end(obs::profiler_enabled());
   if (frame->arrivals.load(std::memory_order_acquire) == 1) {
     // The victim has already parked (its arrival is announced only after
     // its deposit and context save are complete). Merge its serially
     // earlier views on the left of ours and perform the joining steal —
     // resume the parked continuation on this worker, no deposit needed.
-    if (prof) {
-      // Hypermerge burden on the thief path. The continuation resumes on
-      // THIS thread right below, so the post-publish store is still ordered
-      // before its read of prof_burden.
-      const std::uint64_t t0 = now_ns();
-      w2->merge_left(&frame->left_views);
-      frame->prof_burden += now_ns() - t0;
-    } else {
-      w2->merge_left(&frame->left_views);
+    // The continuation resumes on THIS thread, so the post-publish burden
+    // store is still ordered before its read.
+    obs::BurdenTimer burden(&frame->prof_b.burden);
+    merge_left(&frame->left_views);
+  } else {
+    // Deposit our views on the right, THEN announce the arrival: the other
+    // side must never observe a half-built deposit.
+    deposit(frame, /*victim=*/false);
+    if (frame->arrivals.fetch_add(1, std::memory_order_acq_rel) != 1) {
+      // First arriver: the victim will resume the continuation.
+      yield_to_scheduler(from);
+      return;
     }
-    ++w2->stats_[StatCounter::kJoiningSteals];
-    Tracer::instance().record(w2->id(), TraceEvent::kResumeByThief, frame);
-    w2->pending_recycle_ = w2->current_fiber_;
-    w2->current_fiber_ = frame->parked_fiber;
-    tsan::switch_to(frame->parked_fiber->tsan_fiber);
-    cilkm_ctx_switch(&self->ctx, &frame->parked);
-    __builtin_unreachable();
-  }
-  // Deposit our views on the right, THEN announce the arrival: the other
-  // side must never observe a half-built deposit.
-  Tracer::instance().record(w2->id(), TraceEvent::kDepositRight, frame);
-  {
-    // Scoped (not function-wide) suppression: this fiber never returns, so
-    // an open SuppressFaults across a context switch would leak the
-    // thread-local count and mute injection on this worker forever.
-    chaos::SuppressFaults suppress;
-    chaos::maybe_delay(chaos::Site::kDepositDelay);
-    if (prof) {
-      // View-transferal burden, charged before the arrival announcement so
-      // the victim's acquire observes the final value.
-      const std::uint64_t t0 = now_ns();
-      w2->views().deposit_ambient(&frame->right_views);
-      frame->prof_burden += now_ns() - t0;
-    } else {
-      w2->views().deposit_ambient(&frame->right_views);
-    }
-  }
-  if (frame->arrivals.fetch_add(1, std::memory_order_acq_rel) == 1) {
     // The victim parked in the meantime and we arrived last: both deposits
     // exist and our ambient is empty. Reinstall the victim's (left) views,
     // merge our own deposit back on the right, and resume the continuation.
-    {
-      chaos::SuppressFaults suppress;
-      chaos::maybe_delay(chaos::Site::kInstallDelay);
-      if (prof) {
-        // Same-thread resume below, so this post-fetch_add burden store is
-        // still ordered before the continuation's read.
-        const std::uint64_t t0 = now_ns();
-        w2->views().install_deposit(&frame->left_views);
-        w2->merge_right(&frame->right_views);
-        frame->prof_burden += now_ns() - t0;
-      } else {
-        w2->views().install_deposit(&frame->left_views);
-        w2->merge_right(&frame->right_views);
-      }
-    }
-    ++w2->stats_[StatCounter::kJoiningSteals];
-    Tracer::instance().record(w2->id(), TraceEvent::kResumeByThief, frame);
-    w2->pending_recycle_ = w2->current_fiber_;
-    w2->current_fiber_ = frame->parked_fiber;
-    tsan::switch_to(frame->parked_fiber->tsan_fiber);
-    cilkm_ctx_switch(&self->ctx, &frame->parked);
-  } else {
-    // First arriver: the victim will resume the continuation.
-    w2->pending_recycle_ = w2->current_fiber_;
-    w2->current_fiber_ = nullptr;
-    tsan::switch_to(w2->sched_tsan_);
-    cilkm_ctx_switch(&self->ctx, &w2->sched_ctx_);
+    reinstall(frame, &frame->prof_b.burden);
   }
-  __builtin_unreachable();
+  ++stats_[StatCounter::kJoiningSteals];
+  resume_parked(frame, from, TraceEvent::kResumeByThief);
 }
 
 void Worker::launch(SpawnFrame* frame_or_null_root) {
@@ -248,151 +235,25 @@ void Worker::launch(SpawnFrame* frame_or_null_root) {
   // Control returns here when the fiber parks or finishes.
 }
 
-/// The fiber-less twin of fiber_main: same pedigree seating, same profiler
-/// publication, same join protocol — but executed as an ordinary call on
-/// the scheduler stack, with serial_mode_ forcing every nested fork2join
-/// onto its serial-inline path so nothing below can push, park, or migrate.
-/// The two resume branches context-switch into the parked continuation
-/// exactly as the scheduler loop's kResumeSelf path does; control returns
-/// here when some fiber on this thread next yields to the scheduler
-/// context, and the loop's drain_pending picks up whatever that fiber left.
 void Worker::run_degraded(SpawnFrame* frame) {
   serial_mode_ = true;
-  const bool prof = obs::profiler_enabled();
-  if (frame == nullptr) {
-    // Degraded root: the entire run executes serially on this thread.
-    current_pedigree() = PedigreeState{};
-    if (prof) {
-      obs::ProfileState& ps = obs::current_profile();
-      ps = {};
-      obs::strand_begin(ps);
-    }
-    try {
-      sched_->root_fn_();
-    } catch (...) {
-      sched_->root_eptr_ = std::current_exception();
-    }
-    serial_mode_ = false;
-    if (prof) {
-      obs::ProfileState& ps = obs::current_profile();
-      obs::strand_end(ps);
-      obs::Profiler::instance().record_run(ps);
-    }
-    views_.collapse_into_leftmosts();
-    Tracer::instance().record(id_, TraceEvent::kRootDone, nullptr);
-    sched_->done_.store(true, std::memory_order_release);
-    stats_[StatCounter::kWakes] += sched_->parking_.wake_all();
-    return;
-  }
-  current_pedigree() = {frame->ped_parent, frame->ped_rank + 1};
-  if (prof) {
-    obs::ProfileState& ps = obs::current_profile();
-    ps = {};
-    ps.burden = launch_burden_ns_;
-    obs::strand_begin(ps);
-  }
-  try {
-    frame->invoke_b(frame);
-  } catch (...) {
-    frame->eptr = std::current_exception();
-  }
-  serial_mode_ = false;
-  if (prof) {
-    obs::ProfileState& ps = obs::current_profile();
-    obs::strand_end(ps);
-    frame->prof_work = ps.work;
-    frame->prof_span = ps.span;
-    frame->prof_burden = ps.burden;
-  }
-  if (frame->arrivals.load(std::memory_order_acquire) == 1) {
-    // Victim already parked: merge its views left of ours and perform the
-    // joining steal (merge_left suppresses faults and takes the merge-delay
-    // consult internally).
-    if (prof) {
-      const std::uint64_t t0 = now_ns();
-      merge_left(&frame->left_views);
-      frame->prof_burden += now_ns() - t0;
-    } else {
-      merge_left(&frame->left_views);
-    }
-    ++stats_[StatCounter::kJoiningSteals];
-    Tracer::instance().record(id_, TraceEvent::kResumeByThief, frame);
-    current_fiber_ = frame->parked_fiber;
-    tsan::switch_to(frame->parked_fiber->tsan_fiber);
-    cilkm_ctx_switch(&sched_ctx_, &frame->parked);
-    return;
-  }
-  Tracer::instance().record(id_, TraceEvent::kDepositRight, frame);
-  {
-    chaos::SuppressFaults suppress;
-    chaos::maybe_delay(chaos::Site::kDepositDelay);
-    if (prof) {
-      const std::uint64_t t0 = now_ns();
-      views_.deposit_ambient(&frame->right_views);
-      frame->prof_burden += now_ns() - t0;
-    } else {
-      views_.deposit_ambient(&frame->right_views);
-    }
-  }
-  if (frame->arrivals.fetch_add(1, std::memory_order_acq_rel) == 1) {
-    {
-      chaos::SuppressFaults suppress;
-      chaos::maybe_delay(chaos::Site::kInstallDelay);
-      if (prof) {
-        const std::uint64_t t0 = now_ns();
-        views_.install_deposit(&frame->left_views);
-        merge_right(&frame->right_views);
-        frame->prof_burden += now_ns() - t0;
-      } else {
-        views_.install_deposit(&frame->left_views);
-        merge_right(&frame->right_views);
-      }
-    }
-    ++stats_[StatCounter::kJoiningSteals];
-    Tracer::instance().record(id_, TraceEvent::kResumeByThief, frame);
-    current_fiber_ = frame->parked_fiber;
-    tsan::switch_to(frame->parked_fiber->tsan_fiber);
-    cilkm_ctx_switch(&sched_ctx_, &frame->parked);
-    return;
-  }
-  // First arriver: the victim resumes the continuation; back to the loop.
+  run_launched(frame, &sched_ctx_);
 }
 
 void Worker::join_slow(SpawnFrame* frame) {
   Worker* w = Worker::current();
-  const bool prof = obs::profiler_enabled();
   if (frame->arrivals.load(std::memory_order_acquire) == 1) {
     // The thief has already deposited and left: merge its views on the
-    // right of ours and carry on without parking.
-    if (prof) {
-      // Hypermerge burden on the victim path; the caller (fork2join's slow
-      // path, same thread) reads prof_burden_left right after we return.
-      const std::uint64_t t0 = now_ns();
-      w->merge_right(&frame->right_views);
-      frame->prof_burden_left += now_ns() - t0;
-    } else {
-      w->merge_right(&frame->right_views);
-    }
+    // right of ours and carry on without parking. The caller (fork2join's
+    // slow path, same thread) reads this burden right after we return.
+    obs::BurdenTimer burden(&frame->prof_burden_left);
+    w->merge_right(&frame->right_views);
     return;
   }
   // Park: transfer our views (serially earlier than the thief's) into the
   // frame, suspend this fiber, and let the scheduler announce our arrival
   // once the context is fully saved.
-  Tracer::instance().record(w->id(), TraceEvent::kDepositLeft, frame);
-  {
-    chaos::SuppressFaults suppress;
-    chaos::maybe_delay(chaos::Site::kDepositDelay);
-    if (prof) {
-      // View-transferal burden on the victim path, written before the park;
-      // the arrival announcement (scheduler loop, release fetch_add) orders
-      // it before a thief-side resume reads it.
-      const std::uint64_t t0 = now_ns();
-      w->views().deposit_ambient(&frame->left_views);
-      frame->prof_burden_left += now_ns() - t0;
-    } else {
-      w->views().deposit_ambient(&frame->left_views);
-    }
-  }
+  w->deposit(frame, /*victim=*/true);
   Tracer::instance().record(w->id(), TraceEvent::kPark, frame);
   frame->parked_fiber = w->current_fiber_;
   w->pending_park_ = frame;
@@ -508,26 +369,9 @@ void Worker::scheduler_loop() {
         // The thief finished in the meantime: both deposits exist. Take our
         // own views back, merge the thief's on the right, and resume the
         // continuation ourselves.
-        {
-          chaos::SuppressFaults suppress;
-          chaos::maybe_delay(chaos::Site::kInstallDelay);
-          if (obs::profiler_enabled()) {
-            // Reinstall + hypermerge burden on the victim path; the
-            // continuation resumes on this thread right below.
-            const std::uint64_t t0 = now_ns();
-            views_.install_deposit(&frame->left_views);
-            merge_right(&frame->right_views);
-            frame->prof_burden_left += now_ns() - t0;
-          } else {
-            views_.install_deposit(&frame->left_views);
-            merge_right(&frame->right_views);
-          }
-        }
+        reinstall(frame, &frame->prof_burden_left);
         progress_.fetch_add(1, std::memory_order_relaxed);
-        Tracer::instance().record(id_, TraceEvent::kResumeSelf, frame);
-        current_fiber_ = frame->parked_fiber;
-        tsan::switch_to(frame->parked_fiber->tsan_fiber);
-        cilkm_ctx_switch(&sched_ctx_, &frame->parked);
+        resume_parked(frame, &sched_ctx_, TraceEvent::kResumeSelf);
         // The resumed continuation ran (and may have spawned): restart the
         // idle backoff from the spin phase rather than parking immediately.
         idle_rounds = 0;
@@ -555,7 +399,6 @@ void Worker::scheduler_loop() {
     }
     if (frame != nullptr) {
       idle_rounds = 0;
-      frame->stolen.store(true, std::memory_order_relaxed);
       launch(frame);
       continue;
     }
@@ -588,7 +431,7 @@ void print_assert_context(std::FILE* out) {
   constexpr unsigned kMaxDepth = 128;
   std::uint64_t ranks[kMaxDepth];
   unsigned depth = 0;
-  const PedigreeState& ped = current_pedigree();
+  const PedigreeState& ped = current_strand().ped;
   const PedigreeNode* n = ped.parent;
   for (; n != nullptr && depth < kMaxDepth; n = n->parent) {
     ranks[depth++] = n->rank;

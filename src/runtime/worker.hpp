@@ -18,6 +18,7 @@
 namespace cilkm::rt {
 
 class Scheduler;
+enum class TraceEvent : std::uint8_t;
 
 /// 1024-byte alignment (cf. the OpenCilk __cilkrts_worker layout): adjacent
 /// Worker objects never share a cache line OR an adjacent-line prefetch
@@ -83,10 +84,41 @@ class alignas(1024) Worker {
 
   /// Graceful-degradation path when no fiber stack could be acquired (real
   /// mmap exhaustion after StackPool's backoff, or an injected chaos
-  /// fault): run the frame (or root) to completion on the scheduler's own
-  /// OS-thread stack with serial_spawns() forcing nested fork2joins serial,
-  /// then perform this frame's join protocol exactly as fiber_main would.
+  /// fault): the fiber-less twin of fiber_main. It runs the same
+  /// run_launched routine as an ordinary call on the scheduler's own
+  /// OS-thread stack, with serial_spawns() forcing nested fork2joins serial
+  /// so nothing below can push, park, or migrate. A joining resume switches
+  /// into the parked continuation exactly as the scheduler loop's
+  /// kResumeSelf path does; control returns here when some fiber on this
+  /// thread next yields to the scheduler context.
   void run_degraded(SpawnFrame* frame_or_null_root);
+
+  /// The one body behind fiber_main and run_degraded: begin the launched
+  /// strand — the run's root (nullptr) or a promoted frame's deferred branch
+  /// — at its pedigree, run it, then complete the root or perform the thief
+  /// side of the frame's join on whichever worker the strand ended on.
+  /// `from` is the context the strand runs on: its fiber's own, or
+  /// sched_ctx_ for a degraded launch. Everything that differs between the
+  /// two follows from it: a fiber recycles itself and never returns, while
+  /// a degraded strand returns to the scheduler loop.
+  void run_launched(SpawnFrame* frame_or_null_root, Context* from);
+  void complete_root(Context* from);
+  void join_thief(SpawnFrame* frame, Context* from);
+
+  // The join protocol's edges, one helper each, so every use of an edge
+  // gets its trace record, chaos suppression and delay, and profiler burden
+  // (the views layer knows nothing about workers, tracing, or chaos).
+  // `victim` picks the serially earlier (left) side; `burden_slot` is the
+  // calling side's SpawnFrame profiler slot (prof_burden_left for the
+  // victim, prof_b.burden for the thief).
+  void deposit(SpawnFrame* frame, bool victim);
+  void merge_left(ViewSetDeposit* in);
+  void merge_right(ViewSetDeposit* in);
+  void reinstall(SpawnFrame* frame, std::uint64_t* burden_slot);
+  void resume_parked(SpawnFrame* frame, Context* from, TraceEvent ev);
+  /// Leave a finished strand for the scheduler loop: a fiber recycles itself
+  /// and switches away for good; on sched_ctx_ this simply returns.
+  void yield_to_scheduler(Context* from);
 
   void drain_pending();
 
@@ -103,12 +135,6 @@ class alignas(1024) Worker {
   /// is 1 on the first park of an idle episode (counted in kParks) and grows
   /// with each consecutive re-park, escalating the backstop.
   void park_idle(unsigned episode_parks);
-
-  // Trace-emitting wrappers around the views-layer merges, so every merge
-  // in the join protocol is recorded exactly once (the views layer knows
-  // nothing about workers or tracing).
-  void merge_left(ViewSetDeposit* in);
-  void merge_right(ViewSetDeposit* in);
 
   // Hot/cold member layout (see README "Steal path"). First line: identity
   // and the fiber-switch state touched on every launch/park/resume.
@@ -128,7 +154,7 @@ class alignas(1024) Worker {
 
   /// Burden seed for the next launch (profiling only): the steal latency
   /// that delivered the frame about to be launched, or 0 for a self-pop.
-  /// fiber_main charges it to the stolen branch's burdened span.
+  /// run_launched charges it to the stolen branch's burdened span.
   std::uint64_t launch_burden_ns_ = 0;
 
   // Steal-side state, on its own line(s): touched only while idle-stealing,

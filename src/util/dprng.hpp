@@ -64,7 +64,7 @@ class Dprng {
   /// Draw one value: hash the current pedigree, then bump the leaf rank so
   /// the next draw (or spawn) on this strand sees a fresh pedigree.
   std::uint64_t next() noexcept {
-    rt::PedigreeState& ped = rt::current_pedigree();
+    rt::PedigreeState& ped = rt::current_strand().ped;
     const std::uint64_t value = hash(ped);
     ++ped.rank;
     return value;

@@ -18,10 +18,12 @@
 #include "chaos/chaos.hpp"
 #include "mem/internal_alloc.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "reducers/reducers.hpp"
 #include "runtime/api.hpp"
 #include "runtime/deque.hpp"
 #include "runtime/frame.hpp"
+#include "runtime/pedigree.hpp"
 #include "util/dprng.hpp"
 #include "views/flat_registry.hpp"
 
@@ -48,6 +50,62 @@ std::uint64_t count_tree(Red& red, unsigned depth) {
   cilkm::fork2join([&] { l = count_tree(red, depth - 1); },
                    [&] { r = count_tree(red, depth - 1); });
   return l + r;
+}
+
+/// Binary fork tree whose leaves each draw once into an index-addressed slot,
+/// so the draw stream is comparable across any schedule.
+void draw_tree(cilkm::Dprng& rng, unsigned depth, std::size_t leaf,
+               std::vector<std::uint64_t>* out) {
+  if (depth == 0) {
+    (*out)[leaf] = rng.next();
+    return;
+  }
+  cilkm::fork2join([&] { draw_tree(rng, depth - 1, 2 * leaf, out); },
+                   [&] { draw_tree(rng, depth - 1, 2 * leaf + 1, out); });
+}
+
+std::vector<std::uint64_t> tree_draws(unsigned depth) {
+  cilkm::Dprng rng(0x5eed);
+  std::vector<std::uint64_t> out(std::size_t{1} << depth);
+  draw_tree(rng, depth, 0, &out);
+  return out;
+}
+
+/// Profile on for one scope, off and cleared on exit (even mid-assertion).
+struct ProfileGuard {
+  ProfileGuard() {
+    cilkm::obs::Profiler::instance().reset();
+    cilkm::obs::Profiler::instance().enable();
+  }
+  ~ProfileGuard() {
+    cilkm::obs::Profiler::instance().disable();
+    cilkm::obs::Profiler::instance().reset();
+  }
+};
+
+/// The strand record on degraded launches, checked while fiber faults are
+/// armed: the profiler sees exactly one coherent run, and pedigree-hashed
+/// draws equal their serial elision, so a degraded launch seats the strand
+/// exactly as a fibered one does.
+void expect_degraded_strands_match_serial(cilkm::Scheduler& sched) {
+  {
+    ProfileGuard profiling;
+    cilkm::reducer<cilkm::op_add<std::uint64_t>, cilkm::mm_policy> red;
+    sched.run([&] { count_tree(red, 10); });
+    const cilkm::obs::RunProfile prof = cilkm::obs::Profiler::instance().totals();
+    EXPECT_EQ(prof.runs, 1u);
+    EXPECT_GT(prof.span_ns, 0u);
+    EXPECT_LE(prof.span_ns, prof.work_ns);
+    EXPECT_GE(prof.burdened_span_ns, prof.span_ns);
+  }
+  std::vector<std::uint64_t> expect;
+  {
+    cilkm::rt::PedigreeScope scope;  // the serial elision, from the root
+    expect = tree_draws(9);
+  }
+  std::vector<std::uint64_t> got;
+  sched.run([&] { got = tree_draws(9); });
+  EXPECT_EQ(got, expect);
 }
 
 // ---------------------------------------------------------------- site masks
@@ -147,6 +205,7 @@ TEST(ChaosDegradation, FiberFaultsFallBackToTheSchedulerStack) {
     sched.run([&] { count_tree(red, 10); });
     EXPECT_EQ(red.get_value(), 1024u);
     EXPECT_GE(sched.aggregate_stats()[StatCounter::kFiberFallbacks], 1u);
+    expect_degraded_strands_match_serial(sched);
   }
   sched.reset_stats();
   // p = 0.5: a mix of fibered launches and degraded frames mid-run, with
@@ -162,6 +221,7 @@ TEST(ChaosDegradation, FiberFaultsFallBackToTheSchedulerStack) {
       sched.run([&] { count_tree(red, 11); });
       EXPECT_EQ(red.get_value(), 2048u);
     }
+    expect_degraded_strands_match_serial(sched);
   }
   // Clean run afterwards on the same pool.
   cilkm::reducer<cilkm::op_add<std::uint64_t>, cilkm::flat_policy> red;

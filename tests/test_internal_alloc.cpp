@@ -226,6 +226,27 @@ TEST(InternalAlloc, CrossMagazineFreeKeepsBooksBalanced) {
   EXPECT_TRUE(alloc.leak_report().clean);
 }
 
+TEST(InternalAlloc, FreeHeavyMagazineFoldingFirstNeverWrapsThePeaks) {
+  // A frees-only magazine reconciling before the allocating one drives the
+  // live counts transiently below zero; the peaks must not record that as a
+  // near-2^64 maximum.
+  const Topology topo = Topology::flat(4);
+  InternalAlloc alloc(&topo);
+  InternalAlloc::Magazine a, b;
+  constexpr std::size_t kBlocks = 40;  // > 2 refills, < the high-water drain
+  std::vector<void*> ptrs;
+  for (std::size_t i = 0; i < kBlocks; ++i) {
+    ptrs.push_back(alloc.allocate(64, AllocTag::kViews, &a));
+  }
+  for (void* p : ptrs) alloc.deallocate(p, 64, AllocTag::kViews, &b);
+  alloc.flush(b);
+  alloc.flush(a);
+  const auto stats = alloc.tag_stats(AllocTag::kViews);
+  EXPECT_EQ(stats.live_blocks, 0u);
+  EXPECT_LE(stats.peak_blocks, kBlocks);
+  EXPECT_LE(stats.peak_bytes, kBlocks * 64);
+}
+
 TEST(InternalAlloc, CrossThreadFreeOnProcessInstanceIsSafe) {
   auto& alloc = InternalAlloc::instance();
   alloc.stats_sync();

@@ -2,6 +2,7 @@
 // every generator, under both reducer mechanisms and several worker counts.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "pbfs/graph.hpp"
@@ -68,6 +69,13 @@ struct PbfsParams {
   const char* kind;
   unsigned workers;
 };
+
+// Prints a case as "<graph>_P<workers>", e.g. "rmat_P4". Without it gtest
+// prints the struct's raw bytes (the address of `kind` plus padding), and
+// the CTest names gtest_discover_tests derives from them change every run.
+void PrintTo(const PbfsParams& p, std::ostream* os) {
+  *os << p.kind << "_P" << p.workers;
+}
 
 class PbfsMatchesSerial : public ::testing::TestWithParam<PbfsParams> {
  protected:

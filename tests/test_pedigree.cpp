@@ -21,7 +21,7 @@ namespace {
 using cilkm::Dprng;
 using cilkm::fork2join;
 using cilkm::parallel_for;
-using cilkm::rt::current_pedigree;
+using cilkm::rt::current_strand;
 using cilkm::rt::PedigreeScope;
 using cilkm::rt::Scheduler;
 using cilkm::rt::SchedulerOptions;
@@ -161,36 +161,36 @@ TEST(Pedigree, SeedsProduceDecorrelatedStreams) {
 // equality tests above — they'd diverge if any resume point mis-seated it).
 TEST(Pedigree, RankDisciplineFollowsSpawnSyncTransitions) {
   PedigreeScope scope;
-  EXPECT_EQ(current_pedigree().rank, 0u);
+  EXPECT_EQ(current_strand().ped.rank, 0u);
   EXPECT_EQ(cilkm::rt::pedigree_depth(), 1u);
   std::uint64_t child_rank = ~0ull, child_depth = 0;
   std::uint64_t cont_rank = ~0ull;
   fork2join(
       [&] {
-        child_rank = current_pedigree().rank;
+        child_rank = current_strand().ped.rank;
         child_depth = cilkm::rt::pedigree_depth();
-        ASSERT_NE(current_pedigree().parent, nullptr);
-        EXPECT_EQ(current_pedigree().parent->rank, 0u);
+        ASSERT_NE(current_strand().ped.parent, nullptr);
+        EXPECT_EQ(current_strand().ped.parent->rank, 0u);
       },
-      [&] { cont_rank = current_pedigree().rank; });
+      [&] { cont_rank = current_strand().ped.rank; });
   EXPECT_EQ(child_rank, 0u);
   EXPECT_EQ(child_depth, 2u);
   EXPECT_EQ(cont_rank, 1u);
-  EXPECT_EQ(current_pedigree().rank, 2u);
+  EXPECT_EQ(current_strand().ped.rank, 2u);
   EXPECT_EQ(cilkm::rt::pedigree_depth(), 1u);
 
   // A draw consumes one rank, interleaving with spawn ranks.
   Dprng rng(7);
   rng.next();
-  EXPECT_EQ(current_pedigree().rank, 3u);
+  EXPECT_EQ(current_strand().ped.rank, 3u);
   fork2join([] {}, [] {});
-  EXPECT_EQ(current_pedigree().rank, 5u);
+  EXPECT_EQ(current_strand().ped.rank, 5u);
 }
 
 TEST(Pedigree, HashIsAPureFunctionOfSeedAndPedigree) {
   PedigreeScope scope;
   Dprng a(42), b(42), c(43);
-  const auto& ped = current_pedigree();
+  const auto& ped = current_strand().ped;
   EXPECT_EQ(a.hash(ped), b.hash(ped));
   EXPECT_NE(a.hash(ped), c.hash(ped));
   // hash() does not bump; next() returns the same value then bumps.
