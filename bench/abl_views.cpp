@@ -1,16 +1,16 @@
-// Ablation: pooled view allocation (Hoard-style per-worker caches, what the
-// runtime uses) vs plain heap new/delete for view-sized objects. View
-// creation dominates Cilk-M's reduce overhead (paper Figure 8), so this is
-// the allocation path the runtime optimises. Also measures the end-to-end
-// effect: reduce overhead of add-n with many steals, which stresses view
-// creation/destruction.
+// Ablation: pooled view allocation (the internal allocator's kViews tag with
+// per-worker magazines, what the runtime uses) vs plain heap new/delete for
+// view-sized objects. View creation dominates Cilk-M's reduce overhead (paper
+// Figure 8), so this is the allocation path the runtime optimises. Also
+// measures the end-to-end effect: reduce overhead of add-n with many steals,
+// which stresses view creation/destruction.
 //
 //   ./abl_views [--reps R]
 #include <cstdio>
 #include <vector>
 
 #include "harness.hpp"
-#include "util/pool_alloc.hpp"
+#include "mem/internal_alloc.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -18,25 +18,26 @@ namespace {
 void keep(void* p) { asm volatile("" : : "g"(p) : "memory"); }
 
 double time_alloc_cycle(int iters, bool pooled, std::size_t bytes) {
-  auto& pool = cilkm::ViewPool::instance();
+  auto& pool = cilkm::mem::InternalAlloc::instance();
+  constexpr auto kTag = cilkm::mem::AllocTag::kViews;
   std::vector<void*> held(64, nullptr);
   const auto t0 = cilkm::now_ns();
   for (int i = 0; i < iters; ++i) {
     const std::size_t k = static_cast<std::size_t>(i) & 63;
     if (held[k] != nullptr) {
       if (pooled) {
-        pool.deallocate(held[k], bytes);
+        pool.deallocate(held[k], bytes, kTag);
       } else {
         ::operator delete(held[k]);
       }
     }
-    held[k] = pooled ? pool.allocate(bytes) : ::operator new(bytes);
+    held[k] = pooled ? pool.allocate(bytes, kTag) : ::operator new(bytes);
     keep(held[k]);
   }
   for (auto& p : held) {
     if (p != nullptr) {
       if (pooled) {
-        pool.deallocate(p, bytes);
+        pool.deallocate(p, bytes, kTag);
       } else {
         ::operator delete(p);
       }

@@ -22,8 +22,7 @@
 // still verifies against its serial elision.
 //
 // Disarmed cost is one relaxed atomic load + branch per site (the same bar
-// as the tracer's enabled() gate, pinned by bench/abl_chaos). Defining
-// CILKM_NO_CHAOS compiles every site out entirely.
+// as the tracer's enabled() gate, pinned by bench/abl_chaos).
 #pragma once
 
 #include <atomic>
@@ -108,11 +107,7 @@ void consult_delay_here(Site s) noexcept;
 
 /// The hot-path gate: false (one relaxed load) whenever chaos is disarmed.
 inline bool enabled() noexcept {
-#ifdef CILKM_NO_CHAOS
-  return false;
-#else
   return detail::g_armed.load(std::memory_order_relaxed);
-#endif
 }
 
 /// Fault consult keyed on the calling strand's current pedigree.

@@ -28,10 +28,10 @@
 #include <utility>
 
 #include "core/view_ops.hpp"
+#include "mem/internal_alloc.hpp"
 #include "runtime/worker.hpp"
 #include "spa/slot_alloc.hpp"
 #include "tlmm/region.hpp"
-#include "util/pool_alloc.hpp"
 #include "util/timing.hpp"
 #include "views/flat_registry.hpp"
 #include "views/view_store.hpp"
@@ -206,13 +206,22 @@ class reducer {
     }
   }
 
-  // Views live in pooled storage (Hoard-style per-worker caches): view
-  // creation dominates the reduce overhead (paper Figure 8), so its
-  // allocation path avoids the general-purpose heap.
+  // Views live in the internal allocator's kViews pool (per-worker
+  // magazines): view creation dominates the reduce overhead (paper
+  // Figure 8), so its allocation path avoids the general-purpose heap.
+  template <typename... Args>
+  static value_type* new_view(Args&&... args) {
+    return mem::InternalAlloc::instance().create<value_type>(
+        mem::AllocTag::kViews, static_cast<Args&&>(args)...);
+  }
+  static void delete_view(value_type* view) {
+    mem::InternalAlloc::instance().destroy(mem::AllocTag::kViews, view);
+  }
+
   value_type* make_identity(rt::Worker* w) {
     ScopedTimerNs timer(w->stats()[StatCounter::kViewCreateNs]);
     ++w->stats()[StatCounter::kViewsCreated];
-    return ViewPool::instance().create<value_type>(monoid_.identity());
+    return new_view(monoid_.identity());
   }
 
   value_type* miss_mm() {
@@ -237,24 +246,24 @@ class reducer {
 
   void collapse_view(value_type* view) {
     monoid_.reduce(leftmost_, *view);
-    ViewPool::instance().destroy(view);
+    delete_view(view);
   }
 
   static void* s_create_identity(void* r) {
     auto* self = static_cast<reducer*>(r);
     rt::Worker* w = rt::Worker::current();
     return w ? self->make_identity(w)
-             : ViewPool::instance().create<value_type>(self->monoid_.identity());
+             : new_view(self->monoid_.identity());
   }
   static void s_reduce(void* r, void* left, void* right) {
     auto* self = static_cast<reducer*>(r);
     auto* l = static_cast<value_type*>(left);
     auto* rv = static_cast<value_type*>(right);
     self->monoid_.reduce(*l, *rv);
-    ViewPool::instance().destroy(rv);
+    delete_view(rv);
   }
   static void s_destroy(void*, void* view) {
-    ViewPool::instance().destroy(static_cast<value_type*>(view));
+    delete_view(static_cast<value_type*>(view));
   }
   static void s_collapse(void* r, void* view) {
     static_cast<reducer*>(r)->collapse_view(static_cast<value_type*>(view));

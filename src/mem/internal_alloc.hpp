@@ -5,8 +5,8 @@
 // One layer serves every internal consumer, keyed by size class × AllocTag:
 //
 //   tag             consumer                       block
-//   kViews          reducer views (ViewPool)       16..256 B typically
-//   kSpaPages       public SPA maps (PagePool)     4096 B, zeroed chunks
+//   kViews          reducer views (core/reducer)   16..256 B typically
+//   kSpaPages       public SPA maps (page_pool)    4096 B, zeroed chunks
 //   kHypermapNodes  HyperMap entry tables          384 B+ (class-rounded)
 //   kFiberStacks    Fiber headers (StackPool)      ~128 B (stacks are mmap'd)
 //   kFrames         heap-allocated SpawnFrames     ~256 B
@@ -244,7 +244,7 @@ class InternalAlloc {
 
   /// kSpaPages blocks come from zeroed chunks: a freshly carved page is
   /// already the all-null SpaPage the acquire invariant wants, and because
-  /// tags never share free lists only PagePool::release (which enforces
+  /// tags never share free lists only spa::release_page (which enforces
   /// emptiness) ever recycles into this tag.
   static constexpr bool tag_zeroes_chunks(AllocTag tag) noexcept {
     return tag == AllocTag::kSpaPages;

@@ -5,12 +5,7 @@
 
 namespace cilkm::spa {
 
-PagePool& PagePool::instance() {
-  static PagePool pool;
-  return pool;
-}
-
-SpaPage* PagePool::acquire() {
+SpaPage* acquire_page() {
   void* p = mem::InternalAlloc::instance().allocate(sizeof(SpaPage),
                                                     mem::AllocTag::kSpaPages);
   auto* page = static_cast<SpaPage*>(p);
@@ -22,17 +17,11 @@ SpaPage* PagePool::acquire() {
   return page;
 }
 
-void PagePool::release(SpaPage* page) {
+void release_page(SpaPage* page) {
   CILKM_CHECK(page->all_empty(), "only empty SPA maps may be recycled");
   page->num_logs = 0;  // reset overflow state; view array is already zero
   mem::InternalAlloc::instance().deallocate(page, sizeof(SpaPage),
                                             mem::AllocTag::kSpaPages);
-}
-
-std::size_t PagePool::total_allocated() const noexcept {
-  return mem::InternalAlloc::instance()
-      .tag_stats(mem::AllocTag::kSpaPages)
-      .carved_blocks;
 }
 
 }  // namespace cilkm::spa

@@ -1,34 +1,17 @@
-// Pooling of empty SPA pages for *public* SPA maps (paper Section 7): view
-// transferal allocates public pages here, hypermerge recycles them. Since
-// the internal-allocator unification this is a thin adapter over
-// mem::InternalAlloc with AllocTag::kSpaPages — per-worker caching happens
-// in the calling thread's magazine, and the global pool is sharded per
-// NUMA node. The paper's invariant is still enforced here: only all-empty
-// pages are recycled, and the tag's zeroed-chunk policy guarantees a fresh
-// page arrives all-empty too.
+// The pool of public SPA maps (paper Section 7): view transferal acquires
+// pages, hypermerge releases them. Pages are blocks of the internal
+// allocator's kSpaPages tag, so the calling thread's magazine is the
+// per-worker cache and the global pool is sharded per NUMA node. Only
+// all-empty pages are recycled (release_page enforces it) and fresh pages
+// come from the tag's zeroed chunks, so an acquired page is always
+// all-empty: every view slot null, num_valid == 0, num_logs == 0.
 #pragma once
-
-#include <cstddef>
 
 #include "spa/spa_map.hpp"
 
 namespace cilkm::spa {
 
-class PagePool {
- public:
-  static PagePool& instance();
-
-  /// Returns an all-empty page. Fresh pages come from zeroed chunks;
-  /// recycled pages were released empty — either way the acquire invariant
-  /// (all view slots null, num_valid == 0, num_logs == 0) holds.
-  SpaPage* acquire();
-
-  /// Recycle a page. Enforces the only-empty-pages-are-recycled invariant.
-  void release(SpaPage* page);
-
-  /// Pages of backing store carved so far (an upper bound on pages ever
-  /// handed out: chunks carve 16 pages at a time). Lock-free read.
-  std::size_t total_allocated() const noexcept;
-};
+SpaPage* acquire_page();
+void release_page(SpaPage* page);
 
 }  // namespace cilkm::spa

@@ -2,8 +2,6 @@
 
 #include <sys/mman.h>
 
-#include "tlmm/page_descriptor.hpp"
-
 namespace cilkm::tlmm {
 
 thread_local std::byte* tls_region_base = nullptr;

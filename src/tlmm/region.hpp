@@ -15,6 +15,8 @@
 
 namespace cilkm::tlmm {
 
+inline constexpr std::size_t kPageSize = 4096;
+
 /// One worker's private region. Backed by an anonymous, norm-reserve mmap so
 /// a large virtual span costs nothing until touched (mirroring the paper's
 /// observation that in a 64-bit address space the region can be generous).

@@ -56,7 +56,7 @@ void SpaViewStore::deposit(std::vector<spa::SpaDepositEntry>* out) {
   for (const std::uint32_t page_idx : touched_pages_) {
     spa::SpaPage* priv = page_at(page_idx);
     if (priv->all_empty()) continue;
-    spa::SpaPage* pub = spa::PagePool::instance().acquire();
+    spa::SpaPage* pub = spa::acquire_page();
     priv->for_each_valid([&](std::uint32_t idx, spa::ViewSlot& slot) {
       pub->views[idx] = slot;
       pub->note_insert(idx);
@@ -77,8 +77,7 @@ void SpaViewStore::install_deposit(std::vector<spa::SpaDepositEntry>* in) {
       dslot = spa::ViewSlot{nullptr, nullptr};
     });
     pub->num_valid = 0;
-    pub->num_logs = 0;
-    spa::PagePool::instance().release(pub);
+    spa::release_page(pub);
   }
   in->clear();
 }
@@ -101,8 +100,7 @@ void SpaViewStore::merge(std::vector<spa::SpaDepositEntry>* in,
       dslot = spa::ViewSlot{nullptr, nullptr};
     });
     pub->num_valid = 0;
-    pub->num_logs = 0;
-    spa::PagePool::instance().release(pub);
+    spa::release_page(pub);
   }
   in->clear();
 }

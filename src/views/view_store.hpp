@@ -72,11 +72,11 @@ struct ViewSetDeposit {
 // SpaViewStore — the memory-mapped mechanism (mm_policy)
 // ---------------------------------------------------------------------------
 
-/// The TLMM/SPA state that used to be inlined in Worker: the emulated
-/// private region, the touched-page log, and the Hoard-style slot cache.
-/// Public pages come from the tagged internal allocator via PagePool (the
-/// calling thread's magazine is the per-worker cache). A reducer's key is
-/// its tlmm_addr (a byte offset valid in every worker's region).
+/// One worker's TLMM/SPA state: the emulated private region, the touched-page
+/// log, and the Hoard-style slot cache. Public pages come from
+/// spa::acquire_page (the internal allocator's kSpaPages tag; the calling
+/// thread's magazine is the per-worker cache). A reducer's key is its
+/// tlmm_addr (a byte offset valid in every worker's region).
 class SpaViewStore {
  public:
   explicit SpaViewStore(WorkerStats* stats);

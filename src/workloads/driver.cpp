@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <new>
@@ -34,7 +33,7 @@ constexpr const char* kUsage =
     "                 [--figure NAME|none] [--pin] [--placement spread|compact]\n"
     "                 [--wake-batch K] [--steal locality|uniform]\n"
     "                 [--steal-batch half|N]\n"
-    "                 [--profile] [--trace-out FILE] [--trace-csv FILE]\n"
+    "                 [--profile] [--trace-out FILE]\n"
     "                 [--fuzz] [--fuzz-seed X] [--fuzz-iters N]\n"
     "                 [--chaos P] [--chaos-seed X] [--chaos-sites LIST]\n"
     "                 [--watchdog-ms N]\n"
@@ -46,8 +45,7 @@ constexpr const char* kUsage =
     "Observability: --profile turns on the work/span profiler and adds one\n"
     "profile:<workload>/<policy> row per cell (work_ns, span_ns, parallelism,\n"
     "burdened_span_ns, burdened_parallelism). --trace-out writes the LAST\n"
-    "cell's scheduler events as Chrome/Perfetto trace JSON; --trace-csv dumps\n"
-    "the same rings as raw CSV.\n"
+    "cell's scheduler events as Chrome/Perfetto trace JSON.\n"
     "\n"
     "--fuzz runs the seed-replayable scenario fuzzer instead: --fuzz-iters\n"
     "composites (random monoid x shape x policy x workers x steal-batch) are\n"
@@ -219,9 +217,6 @@ bool parse_driver_options(int argc, char** argv, DriverOptions* out) {
     } else if (std::strcmp(arg, "--trace-out") == 0) {
       if (!need_value(i)) return false;
       out->trace_out = argv[++i];
-    } else if (std::strcmp(arg, "--trace-csv") == 0) {
-      if (!need_value(i)) return false;
-      out->trace_csv = argv[++i];
     } else if (std::strcmp(arg, "--fuzz") == 0) {
       out->fuzz = true;
     } else if (std::strcmp(arg, "--fuzz-seed") == 0) {
@@ -403,7 +398,7 @@ int run_matrix(const DriverOptions& opts) {
   // Observability toggles for the whole sweep. Tracing is per cell (rings
   // reset before each cell), so the exported artifact covers the LAST cell
   // — run a single-cell matrix when the timeline itself is the point.
-  const bool tracing = !opts.trace_out.empty() || !opts.trace_csv.empty();
+  const bool tracing = !opts.trace_out.empty();
   auto& tracer = rt::Tracer::instance();
   auto& profiler = obs::Profiler::instance();
   if (tracing) tracer.enable();
@@ -574,17 +569,6 @@ int run_matrix(const DriverOptions& opts) {
         return failures == 0 ? 1 : failures;
       }
     }
-    if (!opts.trace_csv.empty()) {
-      std::ofstream csv(opts.trace_csv);
-      if (csv) {
-        tracer.dump_csv(csv);
-        std::printf("# trace: wrote %s\n", opts.trace_csv.c_str());
-      } else {
-        std::fprintf(stderr, "cannot write trace CSV to %s\n",
-                     opts.trace_csv.c_str());
-        return failures == 0 ? 1 : failures;
-      }
-    }
   }
   if (opts.profile) profiler.disable();
 
@@ -592,37 +576,6 @@ int run_matrix(const DriverOptions& opts) {
     std::fprintf(stderr, "%d cell(s) FAILED verification\n", failures);
   }
   return failures;
-}
-
-int example_main(const char* workload, int argc, char** argv) {
-  DriverOptions opts;
-  opts.workload_names.push_back(workload);
-  opts.workers.push_back(4);
-  opts.figure.clear();  // examples print the table only, no JSON artefact
-
-  auto positional = [&](int index, const char* what, long* out) {
-    if (!parse_long_strict(argv[index], out) || *out < 1) {
-      std::fprintf(stderr, "%s: bad %s '%s' (want a positive integer)\n",
-                   argv[0], what, argv[index]);
-      return false;
-    }
-    return true;
-  };
-  if (argc > 3) {
-    std::fprintf(stderr, "usage: %s [workers] [scale]\n", argv[0]);
-    return 2;
-  }
-  if (argc > 1) {
-    long p = 0;
-    if (!positional(1, "worker count", &p)) return 2;
-    opts.workers.assign(1, static_cast<unsigned>(p));
-  }
-  if (argc > 2) {
-    long s = 0;
-    if (!positional(2, "scale", &s)) return 2;
-    opts.scale = static_cast<unsigned>(s);
-  }
-  return run_matrix(opts) == 0 ? 0 : 1;
 }
 
 }  // namespace cilkm::workloads

@@ -1,8 +1,7 @@
-// The cilkm_run driver, as a library so the examples/ shims and the tests
-// can reuse the cell-matrix runner. A "cell" is one
-// (workload × view-store policy × worker count) execution; every cell
-// self-verifies against its serial reference, and the matrix run reports
-// timing through bench/harness.hpp's JsonReport.
+// The cilkm_run driver, as a library so the tests can reuse the cell-matrix
+// runner. A "cell" is one (workload × view-store policy × worker count)
+// execution; every cell self-verifies against its serial reference, and the
+// matrix run reports timing through bench/harness.hpp's JsonReport.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +51,6 @@ struct DriverOptions {
   /// --trace-out FILE: enable the Tracer and export the LAST cell's event
   /// rings as Chrome/Perfetto trace JSON (obs/trace_export.hpp).
   std::string trace_out;
-  /// --trace-csv FILE: same rings, raw CSV (Tracer::dump_csv).
-  std::string trace_csv;
 };
 
 /// {1, 2, hardware_concurrency}, deduplicated and sorted.
@@ -71,10 +68,5 @@ bool parse_driver_options(int argc, char** argv, DriverOptions* out);
 /// (0 = everything checked out). One persistent Scheduler per worker count
 /// is reused across all workloads, policies, and reps.
 int run_matrix(const DriverOptions& opts);
-
-/// Shared main() for the examples/ shims: positional [workers] [scale],
-/// running one named workload under all three policies. Rejects
-/// non-numeric, non-positive, or extra arguments with exit status 2.
-int example_main(const char* workload, int argc, char** argv);
 
 }  // namespace cilkm::workloads

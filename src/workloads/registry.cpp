@@ -31,7 +31,6 @@ void register_argminmax(Registry& r);
 void register_samplesort(Registry& r);
 void register_pbfs(Registry& r);
 void register_components(Registry& r);
-void register_tlmm_sim(Registry& r);
 void register_quadtree(Registry& r);
 void register_listappend(Registry& r);
 void register_streamcount(Registry& r);
@@ -68,7 +67,6 @@ Registry& Registry::instance() {
     register_samplesort(*r);
     register_pbfs(*r);
     register_components(*r);
-    register_tlmm_sim(*r);
     register_quadtree(*r);
     register_listappend(*r);
     register_streamcount(*r);

@@ -1,6 +1,6 @@
-// N-queens (the examples/nqueens.cpp search, registered): counts solutions
-// with an add-reducer and collects every packed board into a vector
-// reducer, which must come back in exact serial (depth-first) order.
+// N-queens, registered: counts solutions with an add-reducer and collects
+// every packed board into a vector reducer, which must come back in exact
+// serial (depth-first) order.
 #include <cstdint>
 #include <vector>
 

@@ -1,6 +1,6 @@
-// PBFS (the examples/pbfs_demo.cpp run, registered): parallel breadth-first
-// search with bag reducers over an RMAT graph, verified distance-for-
-// distance against serial BFS — the paper's Section 8 application.
+// PBFS, registered: parallel breadth-first search with bag reducers over an
+// RMAT graph, verified distance-for-distance against serial BFS — the
+// paper's Section 8 application.
 #include <algorithm>
 #include <cstdint>
 

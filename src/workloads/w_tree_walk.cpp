@@ -1,7 +1,6 @@
-// The paper's Figure 2 (the examples/tree_walk.cpp walk, registered): walk
-// a random binary tree in parallel and collect matching nodes into a
-// list-append reducer — the result must equal the serial preorder list,
-// element for element.
+// The paper's Figure 2 tree walk, registered: walk a random binary tree in
+// parallel and collect matching nodes into a list-append reducer — the
+// result must equal the serial preorder list, element for element.
 #include <cstdint>
 #include <list>
 #include <vector>

@@ -1,6 +1,6 @@
-// Wordcount (the examples/wordcount.cpp monoid, registered): a user-defined
-// map-union-with-summed-counts monoid plugged into the reducer template,
-// verified against a serial count of the same synthetic corpus.
+// Wordcount, registered: a user-defined map-union-with-summed-counts monoid
+// plugged into the reducer template, verified against a serial count of the
+// same synthetic corpus.
 #include <cstdint>
 #include <string>
 #include <unordered_map>

@@ -1,7 +1,7 @@
 // The cilkm_run driver CLI and run_matrix behaviour: --help exits cleanly
 // without running the matrix, bad numeric values are rejected instead of
-// silently defaulted, no BENCH_*.json is written unless a figure is
-// requested, and the example shims reject garbage argv.
+// silently defaulted, and no BENCH_*.json is written unless a figure is
+// requested.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -19,7 +19,6 @@
 namespace {
 
 using cilkm::workloads::DriverOptions;
-using cilkm::workloads::example_main;
 using cilkm::workloads::parse_driver_options;
 using cilkm::workloads::run_matrix;
 
@@ -220,24 +219,18 @@ TEST(DriverMatrix, JsonWrittenWhenFigureRequested) {
 
 TEST(DriverCli, ObservabilityFlagsParse) {
   DriverOptions opts;
-  ASSERT_TRUE(parse({"--profile", "--trace-out", "t.json", "--trace-csv",
-                     "t.csv"},
-                    &opts));
+  ASSERT_TRUE(parse({"--profile", "--trace-out", "t.json"}, &opts));
   EXPECT_TRUE(opts.profile);
   EXPECT_EQ(opts.trace_out, "t.json");
-  EXPECT_EQ(opts.trace_csv, "t.csv");
 
   // Defaults: everything off.
   DriverOptions defaults;
   ASSERT_TRUE(parse({}, &defaults));
   EXPECT_FALSE(defaults.profile);
   EXPECT_TRUE(defaults.trace_out.empty());
-  EXPECT_TRUE(defaults.trace_csv.empty());
 
   DriverOptions opts2;
   EXPECT_FALSE(parse({"--trace-out"}, &opts2));  // trailing, no value
-  DriverOptions opts3;
-  EXPECT_FALSE(parse({"--trace-csv"}, &opts3));
 }
 
 TEST(DriverMatrix, ProfileRowsEmittedInReport) {
@@ -265,7 +258,6 @@ TEST(DriverMatrix, TraceOutWritesChromeTraceJson) {
     DriverOptions opts = small_matrix();
     opts.figure.clear();
     opts.trace_out = "trace_test.json";
-    opts.trace_csv = "trace_test.csv";
     EXPECT_EQ(run_matrix(opts), 0);
 
     std::ifstream in("trace_test.json");
@@ -275,16 +267,8 @@ TEST(DriverMatrix, TraceOutWritesChromeTraceJson) {
     EXPECT_NE(json.find("\"schema\":\"cilkm-trace-v1\""), std::string::npos);
     EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
     EXPECT_NE(json.find("root_done"), std::string::npos);
-
-    std::ifstream csv_in("trace_test.csv");
-    ASSERT_TRUE(csv_in.is_open());
-    std::string header;
-    std::getline(csv_in, header);
-    EXPECT_EQ(header, "time_ns,worker,event,frame");
-    csv_in.close();
     in.close();
     unlink("trace_test.json");
-    unlink("trace_test.csv");
   });
 }
 
@@ -293,31 +277,6 @@ TEST(DriverMatrix, ListOnlyWritesNoJson) {
     DriverOptions opts;
     opts.list_only = true;
     EXPECT_EQ(run_matrix(opts), 0);
-  });
-  EXPECT_TRUE(files.empty());
-}
-
-TEST(ExampleMain, RejectsGarbageWorkerCount) {
-  const char* argv[] = {"shim", "abc"};
-  EXPECT_EQ(example_main("sum_loop", 2, const_cast<char**>(argv)), 2);
-}
-
-TEST(ExampleMain, RejectsZeroAndNegativeValues) {
-  const char* argv0[] = {"shim", "0"};
-  EXPECT_EQ(example_main("sum_loop", 2, const_cast<char**>(argv0)), 2);
-  const char* argv1[] = {"shim", "2", "-5"};
-  EXPECT_EQ(example_main("sum_loop", 3, const_cast<char**>(argv1)), 2);
-}
-
-TEST(ExampleMain, RejectsExtraArguments) {
-  const char* argv[] = {"shim", "2", "1", "bogus"};
-  EXPECT_EQ(example_main("sum_loop", 4, const_cast<char**>(argv)), 2);
-}
-
-TEST(ExampleMain, RunsWithValidArgsAndWritesNoJson) {
-  const auto files = bench_files_created_by([] {
-    const char* argv[] = {"shim", "2", "1"};
-    EXPECT_EQ(example_main("sum_loop", 3, const_cast<char**>(argv)), 0);
   });
   EXPECT_TRUE(files.empty());
 }

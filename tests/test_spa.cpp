@@ -1,13 +1,15 @@
 // SPA-map, slot-allocator and page-pool tests (paper Sections 5–7): exact
 // page layout, log semantics incl. the 120-entry overflow rule, slot
 // allocation with Hoard-style local pools, and the only-empty-pages-recycled
-// invariant.
+// invariant of the public-page pool (spa::acquire_page/release_page over
+// the internal allocator's kSpaPages tag).
 #include <gtest/gtest.h>
 
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "mem/internal_alloc.hpp"
 #include "spa/page_pool.hpp"
 #include "spa/slot_alloc.hpp"
 #include "spa/spa_map.hpp"
@@ -161,9 +163,14 @@ TEST(SlotAllocator, ConcurrentAllocationYieldsDistinctSlots) {
   for (const auto off : all) alloc.free(off, nullptr);
 }
 
+std::size_t carved_pages() {
+  return cilkm::mem::InternalAlloc::instance()
+      .tag_stats(cilkm::mem::AllocTag::kSpaPages)
+      .carved_blocks;
+}
+
 TEST(PagePool, RecyclesOnlyEmptyPagesAndReusesThem) {
-  auto& pool = PagePool::instance();
-  SpaPage* page = pool.acquire();
+  SpaPage* page = acquire_page();
   ASSERT_NE(page, nullptr);
   EXPECT_TRUE(page->all_empty());
 
@@ -173,16 +180,15 @@ TEST(PagePool, RecyclesOnlyEmptyPagesAndReusesThem) {
   // Must empty the page before recycling (the paper's invariant).
   page->views[0] = {nullptr, nullptr};
   page->num_valid = 0;
-  pool.release(page);
+  release_page(page);
 
-  SpaPage* again = pool.acquire();
+  SpaPage* again = acquire_page();
   EXPECT_TRUE(again->all_empty());
-  pool.release(again);
+  release_page(again);
 }
 
 TEST(PagePool, OverflowedLogStateIsResetOnRelease) {
-  auto& pool = PagePool::instance();
-  SpaPage* page = pool.acquire();
+  SpaPage* page = acquire_page();
   static int dummy;
   for (std::uint32_t i = 0; i < kLogCapacity + 1; ++i) {
     page->views[i] = {&dummy, nullptr};
@@ -190,42 +196,40 @@ TEST(PagePool, OverflowedLogStateIsResetOnRelease) {
   }
   page->for_each_valid([](std::uint32_t, ViewSlot& s) { s = {nullptr, nullptr}; });
   page->num_valid = 0;
-  pool.release(page);
-  SpaPage* again = pool.acquire();
+  release_page(page);
+  SpaPage* again = acquire_page();
   EXPECT_NE(again->num_logs, kLogsOverflowed);
-  pool.release(again);
+  release_page(again);
 }
 
 TEST(PagePool, ReleasedPagesAreRecycledNotRecarved) {
   // The per-worker caching moved into the internal allocator's magazines:
   // releasing pages and re-acquiring the same number must be served entirely
   // from recycled blocks, without carving new backing store.
-  auto& pool = PagePool::instance();
   std::vector<SpaPage*> pages;
-  for (int i = 0; i < 12; ++i) pages.push_back(pool.acquire());
-  for (SpaPage* p : pages) pool.release(p);
-  const std::size_t carved_before = pool.total_allocated();
+  for (int i = 0; i < 12; ++i) pages.push_back(acquire_page());
+  for (SpaPage* p : pages) release_page(p);
+  const std::size_t carved_before = carved_pages();
   pages.clear();
   for (int i = 0; i < 12; ++i) {
-    SpaPage* p = pool.acquire();
+    SpaPage* p = acquire_page();
     EXPECT_TRUE(p->all_empty());
     pages.push_back(p);
   }
-  EXPECT_EQ(pool.total_allocated(), carved_before);
-  for (SpaPage* p : pages) pool.release(p);
+  EXPECT_EQ(carved_pages(), carved_before);
+  for (SpaPage* p : pages) release_page(p);
 }
 
 TEST(PagePoolDeath, ReleasingNonEmptyPageAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  auto& pool = PagePool::instance();
-  SpaPage* page = pool.acquire();
+  SpaPage* page = acquire_page();
   static int dummy;
   page->views[1] = {&dummy, nullptr};
   page->note_insert(1);
-  EXPECT_DEATH(pool.release(page), "only empty SPA maps");
+  EXPECT_DEATH(release_page(page), "only empty SPA maps");
   page->views[1] = {nullptr, nullptr};
   page->num_valid = 0;
-  pool.release(page);
+  release_page(page);
 }
 
 }  // namespace

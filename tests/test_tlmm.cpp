@@ -1,179 +1,15 @@
-// Software-TLMM subsystem tests: the kernel-side semantics of paper
-// Section 4 — page descriptors (sys_palloc/sys_pfree), per-thread root page
-// directories, sys_pmap with PD_NULL unmapping, same-VA/different-frame
-// isolation, shared-region sharing — plus the fast user-space region
-// emulation the production reducer path uses.
+// Emulated TLMM region tests: the per-worker private region the mm policy's
+// reducer lookups resolve through — page-rounded capacity, zero-filled
+// pages, and one offset naming a different view on each thread.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <thread>
-#include <vector>
 
-#include "tlmm/address_space.hpp"
-#include "tlmm/page_descriptor.hpp"
 #include "tlmm/region.hpp"
 
 namespace {
 
 using namespace cilkm::tlmm;
-
-TEST(PageDescriptors, AllocateFreeReuse) {
-  PageDescriptorManager pdm;
-  const std::uint32_t pd1 = pdm.palloc();
-  const std::uint32_t pd2 = pdm.palloc();
-  EXPECT_NE(pd1, pd2);
-  EXPECT_TRUE(pdm.is_live(pd1));
-  EXPECT_EQ(pdm.live_count(), 2u);
-
-  pdm.pfree(pd1);
-  EXPECT_FALSE(pdm.is_live(pd1));
-  EXPECT_EQ(pdm.live_count(), 1u);
-
-  // Freed descriptors are recycled.
-  const std::uint32_t pd3 = pdm.palloc();
-  EXPECT_EQ(pd3, pd1);
-  EXPECT_TRUE(pdm.is_live(pd3));
-}
-
-TEST(PageDescriptors, FreshPagesAreZeroed) {
-  PageDescriptorManager pdm;
-  const std::uint32_t pd = pdm.palloc();
-  pdm.frame(pd)->data[17] = std::byte{0xab};
-  pdm.pfree(pd);
-  const std::uint32_t pd2 = pdm.palloc();
-  ASSERT_EQ(pd2, pd);
-  EXPECT_EQ(pdm.frame(pd2)->data[17], std::byte{0});
-}
-
-TEST(PageDescriptors, ConcurrentAllocation) {
-  PageDescriptorManager pdm;
-  constexpr int kThreads = 8, kPer = 200;
-  std::vector<std::vector<std::uint32_t>> got(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pdm, &got, t] {
-      for (int i = 0; i < kPer; ++i) got[t].push_back(pdm.palloc());
-    });
-  }
-  for (auto& th : threads) th.join();
-  std::vector<std::uint32_t> all;
-  for (auto& v : got) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end());
-  EXPECT_EQ(std::unique(all.begin(), all.end()), all.end());
-  EXPECT_EQ(all.size(), static_cast<std::size_t>(kThreads * kPer));
-}
-
-class AddressSpaceTest : public ::testing::Test {
- protected:
-  PageDescriptorManager pdm;
-  AddressSpace as{pdm};
-};
-
-TEST_F(AddressSpaceTest, SameVirtualAddressDifferentFramesPerThread) {
-  // The defining TLMM property (paper Figure 3): one virtual address, a
-  // different physical page in each thread.
-  as.attach_thread(1);
-  as.attach_thread(2);
-  const std::uint32_t pd_a = pdm.palloc();
-  const std::uint32_t pd_b = pdm.palloc();
-  const std::uint64_t va = 16 * kPageSize;
-  const std::uint32_t map_a[] = {pd_a};
-  const std::uint32_t map_b[] = {pd_b};
-  as.pmap(1, va, map_a);
-  as.pmap(2, va, map_b);
-
-  as.write<int>(1, va, 111);
-  as.write<int>(2, va, 222);
-  EXPECT_EQ(as.read<int>(1, va), 111);
-  EXPECT_EQ(as.read<int>(2, va), 222);
-}
-
-TEST_F(AddressSpaceTest, SharedRegionIsVisibleToAllThreads) {
-  as.attach_thread(1);
-  as.attach_thread(2);
-  const std::uint32_t pd = pdm.palloc();
-  const std::uint64_t heap_va = kTlmmRegionBytes + 42 * kPageSize;
-  as.map_shared(heap_va, pd);
-  as.write<long>(1, heap_va + 8, 0xbeef);
-  EXPECT_EQ(as.read<long>(2, heap_va + 8), 0xbeef);
-
-  // A thread attached later sees existing shared mappings too.
-  as.attach_thread(3);
-  EXPECT_EQ(as.read<long>(3, heap_va + 8), 0xbeef);
-}
-
-TEST_F(AddressSpaceTest, SharedDirectoriesPopulatedOnce) {
-  as.attach_thread(1);
-  as.attach_thread(2);
-  const std::uint64_t heap_va = kTlmmRegionBytes;
-  as.map_shared(heap_va, pdm.palloc());
-  const std::size_t dirs_after_first = as.shared_directory_count();
-  // Mapping a neighbouring page from "another thread's perspective" must
-  // not replicate directories.
-  as.map_shared(heap_va + kPageSize, pdm.palloc());
-  EXPECT_EQ(as.shared_directory_count(), dirs_after_first);
-}
-
-TEST_F(AddressSpaceTest, PmapMapsContiguousRangeFromDescriptorArray) {
-  as.attach_thread(7);
-  std::array<std::uint32_t, 4> pds{};
-  for (auto& pd : pds) pd = pdm.palloc();
-  const std::uint64_t base = 128 * kPageSize;
-  as.pmap(7, base, pds);
-  for (std::size_t i = 0; i < pds.size(); ++i) {
-    as.write<std::uint32_t>(7, base + i * kPageSize, static_cast<std::uint32_t>(i));
-  }
-  for (std::size_t i = 0; i < pds.size(); ++i) {
-    // Same data is reachable through the descriptor's frame directly.
-    std::uint32_t through_frame;
-    __builtin_memcpy(&through_frame, pdm.frame(pds[i])->data.data(), 4);
-    EXPECT_EQ(through_frame, i);
-  }
-}
-
-TEST_F(AddressSpaceTest, PdNullRemovesMapping) {
-  as.attach_thread(1);
-  const std::uint32_t pd = pdm.palloc();
-  const std::uint64_t va = 4 * kPageSize;
-  const std::uint32_t map1[] = {pd};
-  as.pmap(1, va, map1);
-  EXPECT_NE(as.translate(1, va), nullptr);
-  const std::uint32_t unmap[] = {kPdNull};
-  as.pmap(1, va, unmap);
-  EXPECT_EQ(as.translate(1, va), nullptr);
-}
-
-TEST_F(AddressSpaceTest, UnmappedAddressesTranslateToNull) {
-  as.attach_thread(1);
-  EXPECT_EQ(as.translate(1, 0), nullptr);
-  EXPECT_EQ(as.translate(1, kTlmmRegionBytes - kPageSize), nullptr);
-  EXPECT_EQ(as.translate(1, kTlmmRegionBytes + (1ull << 40)), nullptr);
-}
-
-TEST_F(AddressSpaceTest, ViewTransferalThroughPageDescriptors) {
-  // The paper's "mapping strategy" for view transferal: worker 1 publishes
-  // the descriptors of its TLMM pages; worker 2 maps them into its own TLMM
-  // region and reads worker 1's data at its own addresses.
-  as.attach_thread(1);
-  as.attach_thread(2);
-  const std::uint32_t pd = pdm.palloc();
-  const std::uint64_t va1 = 8 * kPageSize, va2 = 200 * kPageSize;
-  const std::uint32_t map[] = {pd};
-  as.pmap(1, va1, map);
-  as.write<int>(1, va1, 777);
-  as.pmap(2, va2, map);  // same physical page, different thread + address
-  EXPECT_EQ(as.read<int>(2, va2), 777);
-}
-
-TEST_F(AddressSpaceTest, DetachAndReattach) {
-  as.attach_thread(5);
-  const std::uint32_t pd = pdm.palloc();
-  const std::uint32_t map[] = {pd};
-  as.pmap(5, 0, map);
-  as.detach_thread(5);
-  as.attach_thread(5);  // fresh root directory: TLMM region starts empty
-  EXPECT_EQ(as.translate(5, 0), nullptr);
-}
 
 TEST(WorkerRegion, CapacityIsPageRoundedAndWritable) {
   WorkerRegion region(10000);
