@@ -9,7 +9,7 @@
 // Sites come in two flavors:
 //   - fault sites (kAllocRefill, kFiberAcquire, kDequePush): the consult
 //     returns true and the caller takes its degradation path — allocator
-//     refill throws std::bad_alloc into the SpawnFrame::eptr join protocol,
+//     refill throws std::bad_alloc into the JoinFrame::eptr join protocol,
 //     fiber acquire falls back to running the frame on the scheduler's own
 //     stack, deque push executes the child serially in place.
 //   - delay sites (kStealDelay, kInstallDelay, kMergeDelay, kDepositDelay):
@@ -110,8 +110,10 @@ inline bool enabled() noexcept {
   return detail::g_armed.load(std::memory_order_relaxed);
 }
 
-/// Fault consult keyed on the calling strand's current pedigree.
-inline bool should_fail(Site s) noexcept {
+/// Fault consult keyed on the calling strand's current pedigree. Forced
+/// inline: fork2join's push consults it, and there it must stay the one
+/// load and branch, not a call.
+[[gnu::always_inline]] inline bool should_fail(Site s) noexcept {
   return enabled() && detail::consult_fail_here(s);
 }
 
@@ -133,8 +135,9 @@ inline void maybe_delay(Site s, const rt::PedigreeState& ped) noexcept {
 
 /// RAII fault suppression for protocol sections whose allocations an
 /// injected throw could NOT unwind safely — merges/deposits/installs at
-/// joins and the fiber-header allocation in Worker::launch run inside the
-/// scheduler's machinery, outside any SpawnFrame::eptr catch, so a
+/// joins, the join-record allocation of a promoted frame, and the
+/// fiber-header allocation in Worker::launch run inside the scheduler's
+/// machinery, outside any JoinFrame::eptr catch, so a
 /// bad_alloc there would escape into the join routines/scheduler_loop and
 /// terminate. Fault sites check the (thread-local, nestable) counter before
 /// hashing; delay sites are unaffected.

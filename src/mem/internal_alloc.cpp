@@ -119,7 +119,7 @@ void InternalAlloc::refill(Magazine& mag, AllocTag tag, int cls) {
   // Chaos fail-point: the magazine-refill edge is where a real allocator
   // first observes memory pressure, so an injected fault throws the same
   // std::bad_alloc a failed carve_chunk would. It unwinds through the user
-  // strand into the SpawnFrame::eptr join protocol (fork2join completes the
+  // strand into the JoinFrame::eptr join protocol (fork2join completes the
   // join before rethrowing, so the pool stays consistent) and surfaces at
   // Scheduler::run. Protocol-section refills are suppressed (SuppressFaults)
   // and non-worker threads are never injected — see chaos.hpp.

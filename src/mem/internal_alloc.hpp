@@ -9,7 +9,7 @@
 //   kSpaPages       public SPA maps (page_pool)    4096 B, zeroed chunks
 //   kHypermapNodes  HyperMap entry tables          384 B+ (class-rounded)
 //   kFiberStacks    Fiber headers (StackPool)      ~128 B (stacks are mmap'd)
-//   kFrames         heap-allocated SpawnFrames     ~256 B
+//   kFrames         JoinFrames (promoted spawns)   ~256 B
 //   kGeneral        everything else
 //
 // Each thread holds a Magazine: free lists per (tag, class) exchanging

@@ -19,7 +19,7 @@
 // The accumulators live in the runtime's one thread-local strand record
 // (rt::StrandState, runtime/pedigree.hpp) beside the pedigree, so the
 // begin/end/join transitions that seat a strand's pedigree also time it.
-// Stolen branches publish their totals through SpawnFrame::prof_b before the
+// Stolen branches publish their totals through JoinFrame::prof_b before the
 // join arrival. All accounting is gated on profiler_enabled(): with the
 // profiler off, the fork2join fast path pays one relaxed load and predicted
 // branches, and BurdenTimer does nothing.
@@ -35,9 +35,8 @@
 
 namespace cilkm::obs {
 
-/// A closed subcomputation's ns totals. No default member initializers on
-/// purpose: SpawnFrame embeds one, and the profiler-off fork2join path must
-/// not pay the stores (value-initialize with `{}` where zeros are meant).
+/// A closed subcomputation's ns totals. No default member initializers:
+/// value-initialize with `{}` where zeros are meant.
 struct Totals {
   std::uint64_t work;
   std::uint64_t span;

@@ -41,9 +41,13 @@ namespace cilkm {
 /// pedigree and, under --profile, times the strand. The serial elision, the
 /// un-stolen fast path, and the stolen slow path apply the identical
 /// transitions and differ only in where b's totals come from (the local
-/// strand, or the thief's publication in the frame), so pedigrees and the
-/// reported span are the same under every schedule. Profiler off, the only
-/// cost is one relaxed load and predicted branches.
+/// strand, or the thief's publication in the join record), so pedigrees and
+/// the reported span are the same under every schedule. Profiler off, the
+/// only cost is one relaxed load and predicted branches.
+///
+/// Frames (runtime/frame.hpp): the un-stolen path pushes a four-word
+/// SpawnFrame and pops it again; the JoinFrame that a stolen continuation
+/// joins through exists only on the slow path.
 template <typename A, typename B>
 void fork2join(A&& a, B&& b) {
   rt::Worker* w = rt::Worker::current();
@@ -55,12 +59,10 @@ void fork2join(A&& a, B&& b) {
   const obs::Totals prefix = s.end(prof);
   if (w != nullptr && !w->serial_spawns()) {
     rt::SpawnFrameT<std::remove_reference_t<B>> frame(&b);
-    // The pedigree snapshot (and the victim's burden slot) must be complete
-    // before the push: a thief may promote the frame (and read these
-    // fields) immediately.
+    // The pedigree snapshot must be complete before the push: a thief may
+    // promote the frame (and read it) immediately.
     frame.ped_parent = at.parent;
     frame.ped_rank = at.rank;
-    if (prof) frame.prof_burden_left = 0;
     // An injected push fault or a genuinely full deque both land on the
     // serial tail below: the child runs in place, exactly as in the serial
     // elision, and the process survives what used to be a capacity abort.
@@ -89,20 +91,19 @@ void fork2join(A&& a, B&& b) {
       }
       // Slow path: the continuation was (or is being) stolen. b runs (or
       // ran) on the thief at rank r+1, which published b's totals in the
-      // frame before its release arrival; every victim-side protocol cost
-      // landed in prof_burden_left. This thread may not be the one that ran
-      // a() — re-fetch the record.
-      rt::Worker::join_slow(&frame);
-      if (prof) a_tot.burden += frame.prof_burden_left;
+      // join record before its release arrival; every victim-side protocol
+      // cost landed in prof_burden_left. This thread may not be the one
+      // that ran a() — re-fetch the strand record. Both sides are done with
+      // the join record once join_slow returns: take what the strand past
+      // the join needs, then free it.
+      rt::JoinFrame* join = rt::Worker::join_slow(&frame);
+      if (prof) a_tot.burden += join->prof_burden_left;
       rt::current_strand().join({at.parent, at.rank + 2}, prof, prefix, a_tot,
-                                frame.prof_b);
+                                join->prof_b);
+      const std::exception_ptr b_eptr = std::move(join->eptr);
+      delete join;
       if (a_eptr) std::rethrow_exception(a_eptr);
-      // Rethrow-and-clear: this frame's storage is recycled through the
-      // tagged allocator, and a stale exception_ptr must never survive into
-      // the next activation that lands on the same bytes.
-      if (frame.eptr) {
-        std::rethrow_exception(std::exchange(frame.eptr, nullptr));
-      }
+      if (b_eptr) std::rethrow_exception(b_eptr);
       return;
     }
     ++w->stats()[StatCounter::kSerialDegrades];
@@ -134,13 +135,28 @@ void parallel_invoke(F1&& f1, F2&& f2, Rest&&... rest) {
   }
 }
 
+namespace detail {
+
+/// parallel_for's leaf loop, out of line and on a 64-byte boundary, so that
+/// edits elsewhere (fork2join above all) cannot move a loop body's
+/// alignment and with it the speed of loops bound by their body's
+/// code placement.
+template <typename Body>
+[[gnu::noinline, gnu::aligned(64)]] void parallel_for_leaf(std::int64_t lo,
+                                                           std::int64_t hi,
+                                                           Body& body) {
+  for (std::int64_t i = lo; i < hi; ++i) body(i);
+}
+
+}  // namespace detail
+
 /// Parallel loop over [lo, hi): recursive binary splitting down to `grain`
 /// iterations, preserving ascending serial order within and across leaves.
 template <typename Body>
 void parallel_for(std::int64_t lo, std::int64_t hi, std::int64_t grain,
                   Body&& body) {
   if (hi - lo <= grain) {
-    for (std::int64_t i = lo; i < hi; ++i) body(i);
+    detail::parallel_for_leaf(lo, hi, body);
     return;
   }
   const std::int64_t mid = lo + (hi - lo) / 2;

@@ -82,30 +82,18 @@ class Deque {
   /// Owner only. Returns false — deque untouched, no wake fired — when the
   /// deque is full (spawn depth beyond kCapacity); fork2join then degrades
   /// to executing the child serially in place instead of aborting, so one
-  /// pathological spawn burst cannot kill the process.
-  bool push(SpawnFrame* frame) noexcept {
+  /// pathological spawn burst cannot kill the process. Forced inline, like
+  /// take_if: fork2join's fast path is these two plus the frame stores.
+  [[gnu::always_inline]] bool push(SpawnFrame* frame) noexcept {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed);
     const std::int64_t t = top_.load(std::memory_order_acquire);
     if (b - t >= static_cast<std::int64_t>(kCapacity)) return false;
     buffer_[static_cast<std::size_t>(b) & kMask].store(
         frame, std::memory_order_relaxed);
     bottom_.store(b + 1, std::memory_order_release);
-    if (lot_ != nullptr) {
-      // Batched wake-up: one isolated push wakes at most one sleeper (the
-      // 1:1 discipline), but when pushes outrun thieves — b+1-t stealable
-      // entries are outstanding, a fan-out burst — wake up to wake_batch
-      // nearest sleepers at once to cut the serial wake latency chain.
-      // wake() internally fences so the bottom store above is ordered
-      // before the sleeper check (see parking.hpp).
-      const std::int64_t outstanding = b + 1 - t;
-      unsigned want = wake_batch_;
-      if (outstanding < static_cast<std::int64_t>(want)) {
-        want = outstanding < 1 ? 1u : static_cast<unsigned>(outstanding);
-      }
-      const std::uint32_t woken = lot_->wake(want, wake_tier_of_);
-      *wake_counter_ += woken;
-      if (woken > 1) *batch_counter_ += woken - 1;
-    }
+    // wake()'s own relaxed no-sleeper fast-out, hoisted so that a push with
+    // nobody parked stays inline in fork2join.
+    if (lot_ != nullptr && lot_->parked_count() != 0) wake_sleepers(b + 1 - t);
     return true;
   }
 
@@ -142,7 +130,7 @@ class Deque {
   /// fast path). Returns nullptr when the deque is empty, when the bottom
   /// entry is not `expected` (i.e., `expected` was stolen), or when a thief
   /// wins the race for the last entry.
-  SpawnFrame* take_if(SpawnFrame* expected) noexcept {
+  [[gnu::always_inline]] SpawnFrame* take_if(SpawnFrame* expected) noexcept {
     CILKM_DCHECK(expected != nullptr, "take_if requires a frame");
     return take_impl(expected);
   }
@@ -257,13 +245,34 @@ class Deque {
     thief_lock_.store(false, std::memory_order_release);
   }
 
+  /// push()'s wake-up, out of line: taken only while a worker is parked.
+  /// Batched: one isolated push wakes at most one sleeper (the 1:1
+  /// discipline), but when pushes outrun thieves — `outstanding` stealable
+  /// entries, a fan-out burst — wake up to wake_batch nearest sleepers at
+  /// once to cut the serial wake latency chain. wake() internally fences so
+  /// the bottom store is ordered before its sleeper check (see parking.hpp).
+  [[gnu::noinline]] void wake_sleepers(std::int64_t outstanding) noexcept {
+    unsigned want = wake_batch_;
+    if (outstanding < static_cast<std::int64_t>(want)) {
+      want = outstanding < 1 ? 1u : static_cast<unsigned>(outstanding);
+    }
+    const std::uint32_t woken = lot_->wake(want, wake_tier_of_);
+    *wake_counter_ += woken;
+    if (woken > 1) *batch_counter_ += woken - 1;
+  }
+
   /// Owner pop. The fast attempt detects an in-flight steal_batch whose
   /// announced claim bound covers our pop index; the conflict is resolved
-  /// by re-running the classic pop under the thief lock (THE-style), where
-  /// no batch transaction can be in flight.
-  SpawnFrame* take_impl(SpawnFrame* expected) noexcept {
+  /// out of line by re-running the classic pop under the thief lock
+  /// (THE-style), where no batch transaction can be in flight.
+  [[gnu::always_inline]] SpawnFrame* take_impl(SpawnFrame* expected) noexcept {
     SpawnFrame* out = nullptr;
     if (take_attempt(expected, &out)) return out;
+    return take_locked(expected);
+  }
+
+  [[gnu::noinline]] SpawnFrame* take_locked(SpawnFrame* expected) noexcept {
+    SpawnFrame* out = nullptr;
     lock_thief();
     [[maybe_unused]] const bool resolved = take_attempt(expected, &out);
     CILKM_DCHECK(resolved, "owner pop conflicted while holding thief lock");
@@ -273,7 +282,8 @@ class Deque {
 
   /// One pop attempt. Returns false only on a steal_batch conflict (deque
   /// state restored); true otherwise, with the result in *out.
-  bool take_attempt(SpawnFrame* expected, SpawnFrame** out) noexcept {
+  [[gnu::always_inline]] bool take_attempt(SpawnFrame* expected,
+                                           SpawnFrame** out) noexcept {
     std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
     bottom_.store(b, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);

@@ -1,9 +1,12 @@
-// Spawn frames: the continuation descriptors pushed on the deque by
-// fork2join. An un-stolen frame costs a push and a conditional pop; a stolen
-// frame is "promoted" — it then carries the join-arrival counter, the parked
-// continuation context, and the view-deposit placeholders that in the paper
-// live in a full frame (left-child / right-sibling hypermaps, or public SPA
-// maps in the memory-mapping scheme).
+// Spawn frames, split the way Cilk-5's work-first design splits them. Every
+// fork2join pushes a SpawnFrame — four words on the spawner's stack: the
+// deferred branch's invoker, the pedigree snapshot, and a pointer to the
+// frame's join record — and an un-stolen frame costs only that push and a
+// fenced pop. The full frame of the paper (the join-arrival counter, the
+// parked continuation, and the view-deposit placeholders that hold the
+// left-child / right-sibling hypermaps, or public SPA maps in the
+// memory-mapping scheme) is a JoinFrame, built only when a frame is promoted:
+// stolen by a thief, or self-popped by its own worker's scheduler loop.
 #pragma once
 
 #include <atomic>
@@ -20,15 +23,16 @@ namespace cilkm::rt {
 
 /// A deposited set of local views, one component per view store (SPA maps,
 /// hypermap, flat array). Defined by the views layer; re-exported here
-/// because the runtime embeds two deposit placeholders in every promoted
-/// spawn frame.
+/// because the runtime embeds two deposit placeholders in every join record.
 using ViewSetDeposit = views::ViewSetDeposit;
 
-struct SpawnFrame {
-  /// fork2join's fast path embeds frames in the spawning stack frame; any
-  /// frame the runtime (or an embedder) heap-allocates goes through the
-  /// tagged internal allocator instead of plain operator new. The sized
-  /// delete covers SpawnFrameT subobjects too.
+/// The join record of a promoted frame. Whichever side of the join needs it
+/// first — the thief (or self-pop fiber) when it launches the deferred
+/// branch, or the victim when its fast-path pop fails — allocates one from
+/// the kFrames tag and installs it in SpawnFrame::join with one CAS; the
+/// loser frees its copy. The strand past the join takes eptr and the
+/// profiler totals out of it and frees it (fork2join's slow path).
+struct JoinFrame {
   static void* operator new(std::size_t bytes) {
     return mem::InternalAlloc::instance().allocate(bytes,
                                                    mem::AllocTag::kFrames);
@@ -38,8 +42,9 @@ struct SpawnFrame {
                                               mem::AllocTag::kFrames);
   }
 
-  /// Type-erased invoker of the deferred branch `b` (set by SpawnFrameT).
-  void (*invoke_b)(SpawnFrame*) = nullptr;
+  /// Out of line (worker.cpp), so no fork2join instantiation inlines the
+  /// deposit placeholders' teardown into its slow path.
+  ~JoinFrame();
 
   /// Join-arrival counter. The side whose fetch_add returns 1 arrived last
   /// and resumes the parked continuation; the side that got 0 deposited its
@@ -64,11 +69,16 @@ struct SpawnFrame {
   /// before announcing its join arrival; under profiling the victim
   /// accumulates its own protocol costs (deposit, reinstall, merge) into
   /// prof_burden_left. The resumed continuation combines both sides at the
-  /// join. Deliberately UNINITIALIZED: the profiler-off hot path must not pay
-  /// the stores — fork2join zeroes prof_burden_left only under profiling,
-  /// before the frame is pushed.
-  obs::Totals prof_b;
-  std::uint64_t prof_burden_left;
+  /// join.
+  obs::Totals prof_b{};
+  std::uint64_t prof_burden_left = 0;
+};
+
+/// What fork2join pushes. Trivially destructible and written once before
+/// the push, so the un-stolen path never touches anything else.
+struct SpawnFrame {
+  /// Type-erased invoker of the deferred branch `b` (set by SpawnFrameT).
+  void (*invoke_b)(SpawnFrame*) = nullptr;
 
   /// Pedigree snapshot of the spawning strand, written by fork2join BEFORE
   /// the frame is pushed (a thief may promote it immediately) and immutable
@@ -80,6 +90,9 @@ struct SpawnFrame {
   /// are suspended until this frame's join completes.
   const PedigreeNode* ped_parent = nullptr;
   std::uint64_t ped_rank = 0;
+
+  /// The join record, null until the frame is promoted (see JoinFrame).
+  std::atomic<JoinFrame*> join{nullptr};
 };
 
 template <typename B>

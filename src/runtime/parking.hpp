@@ -128,10 +128,11 @@ class ParkingLot {
   /// LIFO. Returns the number of workers woken.
   std::uint32_t wake(unsigned max_wake, const std::uint8_t* tier_of) noexcept {
     if (max_wake == 0) return 0;
-    // Hot-path fast-out: Deque::push calls this on every spawn, and with no
-    // one parked a relaxed read avoids a full fence per push. The relaxed
-    // read can miss a concurrently registering worker; that lone missed
-    // wake is repaired by the next publication or the timed backstop.
+    // Fast-out: with no one parked a relaxed read avoids a full fence
+    // (Deque::push makes the same check inline, before it calls here on a
+    // spawn). The relaxed read can miss a concurrently registering worker;
+    // that lone missed wake is repaired by the next publication or the
+    // timed backstop.
     if (parked_count_.load(std::memory_order_relaxed) == 0) return 0;
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (parked_count_.load(std::memory_order_relaxed) == 0) return 0;

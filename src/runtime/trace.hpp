@@ -48,7 +48,9 @@ constexpr std::string_view to_string(TraceEvent e) noexcept {
 
 struct TraceRecord {
   std::uint64_t time_ns;
-  const void* frame;  // the SpawnFrame involved (nullptr for root events)
+  // The SpawnFrame of a steal, self-pop or launch; the JoinFrame of a
+  // deposit, park or resume; the deposit of a merge; nullptr for the root.
+  const void* frame;
   TraceEvent event;
   std::uint8_t worker;
 };

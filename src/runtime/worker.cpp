@@ -18,6 +18,32 @@ namespace cilkm::rt {
 
 thread_local Worker* tls_worker = nullptr;
 
+JoinFrame::~JoinFrame() = default;
+
+namespace {
+
+/// Promote `frame`: return its join record, building it if this side asks
+/// first. The two sides race only through the one CAS that installs it; the
+/// loser frees its copy. The allocation runs inside the join protocol,
+/// outside any eptr catch, so injected refill faults are suppressed, and a
+/// real exhaustion aborts (noexcept) instead of unwinding past a frame the
+/// other side still uses.
+JoinFrame* promote(SpawnFrame* frame) noexcept {
+  JoinFrame* join = frame->join.load(std::memory_order_acquire);
+  if (join != nullptr) return join;
+  chaos::SuppressFaults suppress;
+  auto* fresh = new JoinFrame;
+  if (frame->join.compare_exchange_strong(join, fresh,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+    return fresh;
+  }
+  delete fresh;
+  return join;
+}
+
+}  // namespace
+
 Worker::Worker(Scheduler* sched, unsigned id) : id_(id), sched_(sched) {
   // 0 = "half": take ceil(avail/2) up to the deque's transaction cap.
   const unsigned batch = sched->options().steal_batch;
@@ -38,7 +64,7 @@ Worker::~Worker() {
 
 void Worker::merge_left(ViewSetDeposit* in) {
   // Merges allocate (monoid combines, table growth) inside the join
-  // protocol, outside any SpawnFrame::eptr catch: injected allocator faults
+  // protocol, outside any JoinFrame::eptr catch: injected allocator faults
   // are suppressed here, injected protocol delays are not.
   chaos::SuppressFaults suppress;
   chaos::maybe_delay(chaos::Site::kMergeDelay);
@@ -53,10 +79,10 @@ void Worker::merge_right(ViewSetDeposit* in) {
   views_.merge_deposit_right(in);
 }
 
-void Worker::deposit(SpawnFrame* frame, bool victim) {
+void Worker::deposit(JoinFrame* join, bool victim) {
   Tracer::instance().record(
       id_, victim ? TraceEvent::kDepositLeft : TraceEvent::kDepositRight,
-      frame);
+      join);
   // Scoped to this call, not to the caller: a fiber that never returns
   // must not hold a SuppressFaults open across its context switch, or the
   // thread-local count would leak and mute injection on this worker
@@ -66,29 +92,29 @@ void Worker::deposit(SpawnFrame* frame, bool victim) {
   // View-transferal burden, charged before the arrival announcement (or the
   // park whose announcement the scheduler loop makes), so whoever resumes
   // the continuation observes the final value.
-  obs::BurdenTimer burden(victim ? &frame->prof_burden_left
-                                 : &frame->prof_b.burden);
-  views_.deposit_ambient(victim ? &frame->left_views : &frame->right_views);
+  obs::BurdenTimer burden(victim ? &join->prof_burden_left
+                                 : &join->prof_b.burden);
+  views_.deposit_ambient(victim ? &join->left_views : &join->right_views);
 }
 
-void Worker::reinstall(SpawnFrame* frame, std::uint64_t* burden_slot) {
+void Worker::reinstall(JoinFrame* join, std::uint64_t* burden_slot) {
   chaos::SuppressFaults suppress;
   chaos::maybe_delay(chaos::Site::kInstallDelay);
   // The continuation resumes on this thread right after, so this burden
   // store is ordered before its read.
   obs::BurdenTimer burden(burden_slot);
-  views_.install_deposit(&frame->left_views);
-  merge_right(&frame->right_views);
+  views_.install_deposit(&join->left_views);
+  merge_right(&join->right_views);
 }
 
-void Worker::resume_parked(SpawnFrame* frame, Context* from, TraceEvent ev) {
-  Tracer::instance().record(id_, ev, frame);
+void Worker::resume_parked(JoinFrame* join, Context* from, TraceEvent ev) {
+  Tracer::instance().record(id_, ev, join);
   // Only a fiber recycles itself; the scheduler context has no fiber of its
   // own, and current_fiber_ may still name a parked one there.
   if (from != &sched_ctx_) pending_recycle_ = current_fiber_;
-  current_fiber_ = frame->parked_fiber;
-  tsan::switch_to(frame->parked_fiber->tsan_fiber);
-  cilkm_ctx_switch(from, &frame->parked);
+  current_fiber_ = join->parked_fiber;
+  tsan::switch_to(join->parked_fiber->tsan_fiber);
+  cilkm_ctx_switch(from, &join->parked);
 }
 
 void Worker::yield_to_scheduler(Context* from) {
@@ -119,6 +145,7 @@ void fiber_main(void* arg) {
 
 void Worker::run_launched(SpawnFrame* frame, Context* from) {
   const bool prof = obs::profiler_enabled();
+  JoinFrame* join = nullptr;
   if (frame == nullptr) {
     // Root task: every run() starts from the root pedigree, so pedigrees
     // (and DPRNG streams) are reproducible per run, not per pool lifetime.
@@ -134,23 +161,26 @@ void Worker::run_launched(SpawnFrame* frame, Context* from) {
     // under the spawn-time prefix, exactly where the victim's fast path
     // would have resumed it (thieves and self-pops alike). The stolen branch
     // is a fresh subcomputation whose burden starts at the steal latency
-    // that delivered the frame (0 for a self-pop).
+    // that delivered the frame (0 for a self-pop). Its join record is built
+    // now unless the victim already reached its join; past invoke_b the
+    // frame itself is never touched again.
+    join = promote(frame);
     current_strand().begin({frame->ped_parent, frame->ped_rank + 1}, prof,
                            launch_burden_ns_);
     try {
       frame->invoke_b(frame);
     } catch (...) {
-      frame->eptr = std::current_exception();
+      join->eptr = std::current_exception();
     }
   }
   Worker* w = Worker::current();  // a fiber's strand may have migrated
   // A degraded strand's forced-serial spawns end with its body: the join
   // below may resume a parked continuation, which must spawn normally.
   w->serial_mode_ = false;
-  if (frame == nullptr) {
+  if (join == nullptr) {
     w->complete_root(from);
   } else {
-    w->join_thief(frame, from);
+    w->join_thief(join, from);
   }
 }
 
@@ -167,25 +197,25 @@ void Worker::complete_root(Context* from) {
   yield_to_scheduler(from);
 }
 
-void Worker::join_thief(SpawnFrame* frame, Context* from) {
-  // Publish b's totals in the frame BEFORE any arrival announcement: the
-  // release fetch_add below (or the victim's acquire load of arrivals)
+void Worker::join_thief(JoinFrame* join, Context* from) {
+  // Publish b's totals in the join record BEFORE any arrival announcement:
+  // the release fetch_add below (or the victim's acquire load of arrivals)
   // makes them visible to whoever resumes the continuation.
-  frame->prof_b = current_strand().end(obs::profiler_enabled());
-  if (frame->arrivals.load(std::memory_order_acquire) == 1) {
+  join->prof_b = current_strand().end(obs::profiler_enabled());
+  if (join->arrivals.load(std::memory_order_acquire) == 1) {
     // The victim has already parked (its arrival is announced only after
     // its deposit and context save are complete). Merge its serially
     // earlier views on the left of ours and perform the joining steal —
     // resume the parked continuation on this worker, no deposit needed.
     // The continuation resumes on THIS thread, so the post-publish burden
     // store is still ordered before its read.
-    obs::BurdenTimer burden(&frame->prof_b.burden);
-    merge_left(&frame->left_views);
+    obs::BurdenTimer burden(&join->prof_b.burden);
+    merge_left(&join->left_views);
   } else {
     // Deposit our views on the right, THEN announce the arrival: the other
     // side must never observe a half-built deposit.
-    deposit(frame, /*victim=*/false);
-    if (frame->arrivals.fetch_add(1, std::memory_order_acq_rel) != 1) {
+    deposit(join, /*victim=*/false);
+    if (join->arrivals.fetch_add(1, std::memory_order_acq_rel) != 1) {
       // First arriver: the victim will resume the continuation.
       yield_to_scheduler(from);
       return;
@@ -193,10 +223,10 @@ void Worker::join_thief(SpawnFrame* frame, Context* from) {
     // The victim parked in the meantime and we arrived last: both deposits
     // exist and our ambient is empty. Reinstall the victim's (left) views,
     // merge our own deposit back on the right, and resume the continuation.
-    reinstall(frame, &frame->prof_b.burden);
+    reinstall(join, &join->prof_b.burden);
   }
   ++stats_[StatCounter::kJoiningSteals];
-  resume_parked(frame, from, TraceEvent::kResumeByThief);
+  resume_parked(join, from, TraceEvent::kResumeByThief);
 }
 
 void Worker::launch(SpawnFrame* frame_or_null_root) {
@@ -240,27 +270,31 @@ void Worker::run_degraded(SpawnFrame* frame) {
   run_launched(frame, &sched_ctx_);
 }
 
-void Worker::join_slow(SpawnFrame* frame) {
+JoinFrame* Worker::join_slow(SpawnFrame* frame) {
+  // The thief may still be between its steal and its launch: then this side
+  // builds the join record.
+  JoinFrame* join = promote(frame);
   Worker* w = Worker::current();
-  if (frame->arrivals.load(std::memory_order_acquire) == 1) {
+  if (join->arrivals.load(std::memory_order_acquire) == 1) {
     // The thief has already deposited and left: merge its views on the
     // right of ours and carry on without parking. The caller (fork2join's
     // slow path, same thread) reads this burden right after we return.
-    obs::BurdenTimer burden(&frame->prof_burden_left);
-    w->merge_right(&frame->right_views);
-    return;
+    obs::BurdenTimer burden(&join->prof_burden_left);
+    w->merge_right(&join->right_views);
+    return join;
   }
   // Park: transfer our views (serially earlier than the thief's) into the
-  // frame, suspend this fiber, and let the scheduler announce our arrival
-  // once the context is fully saved.
-  w->deposit(frame, /*victim=*/true);
-  Tracer::instance().record(w->id(), TraceEvent::kPark, frame);
-  frame->parked_fiber = w->current_fiber_;
-  w->pending_park_ = frame;
+  // join record, suspend this fiber, and let the scheduler announce our
+  // arrival once the context is fully saved.
+  w->deposit(join, /*victim=*/true);
+  Tracer::instance().record(w->id(), TraceEvent::kPark, join);
+  join->parked_fiber = w->current_fiber_;
+  w->pending_park_ = join;
   tsan::switch_to(w->sched_tsan_);
-  cilkm_ctx_switch(&frame->parked, &w->sched_ctx_);
+  cilkm_ctx_switch(&join->parked, &w->sched_ctx_);
   // Resumed by the last arriver — possibly on a different worker.
   Worker::current()->drain_pending();
+  return join;
 }
 
 SpawnFrame* Worker::try_steal_round() {
@@ -363,15 +397,14 @@ void Worker::scheduler_loop() {
   while (true) {
     drain_pending();
     if (pending_park_ != nullptr) {
-      SpawnFrame* frame = pending_park_;
-      pending_park_ = nullptr;
-      if (frame->arrivals.fetch_add(1, std::memory_order_acq_rel) == 1) {
+      JoinFrame* join = std::exchange(pending_park_, nullptr);
+      if (join->arrivals.fetch_add(1, std::memory_order_acq_rel) == 1) {
         // The thief finished in the meantime: both deposits exist. Take our
         // own views back, merge the thief's on the right, and resume the
         // continuation ourselves.
-        reinstall(frame, &frame->prof_burden_left);
+        reinstall(join, &join->prof_burden_left);
         progress_.fetch_add(1, std::memory_order_relaxed);
-        resume_parked(frame, &sched_ctx_, TraceEvent::kResumeSelf);
+        resume_parked(join, &sched_ctx_, TraceEvent::kResumeSelf);
         // The resumed continuation ran (and may have spawned): restart the
         // idle backoff from the spin phase rather than parking immediately.
         idle_rounds = 0;

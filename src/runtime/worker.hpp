@@ -62,9 +62,11 @@ class alignas(1024) Worker {
   /// exists anywhere.
   void scheduler_loop();
 
-  /// Slow join path for fork2join when the deferred branch was stolen.
-  /// May return on a *different* worker (the continuation migrates).
-  static void join_slow(SpawnFrame* frame);
+  /// Slow join path for fork2join when the deferred branch was stolen:
+  /// returns the frame's join record once both sides have arrived, for the
+  /// caller to take the stolen branch's results from and free. May return
+  /// on a *different* worker (the continuation migrates).
+  static JoinFrame* join_slow(SpawnFrame* frame);
 
   // ---- reducer-view state (all mechanisms) ----
   views::ViewStoreSet& views() noexcept { return views_; }
@@ -103,19 +105,19 @@ class alignas(1024) Worker {
   /// a degraded strand returns to the scheduler loop.
   void run_launched(SpawnFrame* frame_or_null_root, Context* from);
   void complete_root(Context* from);
-  void join_thief(SpawnFrame* frame, Context* from);
+  void join_thief(JoinFrame* join, Context* from);
 
   // The join protocol's edges, one helper each, so every use of an edge
   // gets its trace record, chaos suppression and delay, and profiler burden
   // (the views layer knows nothing about workers, tracing, or chaos).
   // `victim` picks the serially earlier (left) side; `burden_slot` is the
-  // calling side's SpawnFrame profiler slot (prof_burden_left for the
+  // calling side's JoinFrame profiler slot (prof_burden_left for the
   // victim, prof_b.burden for the thief).
-  void deposit(SpawnFrame* frame, bool victim);
+  void deposit(JoinFrame* join, bool victim);
   void merge_left(ViewSetDeposit* in);
   void merge_right(ViewSetDeposit* in);
-  void reinstall(SpawnFrame* frame, std::uint64_t* burden_slot);
-  void resume_parked(SpawnFrame* frame, Context* from, TraceEvent ev);
+  void reinstall(JoinFrame* join, std::uint64_t* burden_slot);
+  void resume_parked(JoinFrame* join, Context* from, TraceEvent ev);
   /// Leave a finished strand for the scheduler loop: a fiber recycles itself
   /// and switches away for good; on sched_ctx_ this simply returns.
   void yield_to_scheduler(Context* from);
@@ -145,7 +147,7 @@ class alignas(1024) Worker {
   Fiber* current_fiber_ = nullptr;
   Fiber* pending_recycle_ = nullptr;
   LocalFiberCache fiber_cache_;  // lock-free front of the node-sharded pool
-  SpawnFrame* pending_park_ = nullptr;
+  JoinFrame* pending_park_ = nullptr;
   SpawnFrame* launch_frame_ = nullptr;
   bool serial_mode_ = false;  // degraded frame in flight (see serial_spawns)
 

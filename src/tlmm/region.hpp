@@ -1,11 +1,12 @@
 // Fast user-space emulation of a worker's TLMM region (DESIGN.md
 // substitution (b)). Each worker owns one contiguous, lazily committed
 // private region; a reducer stores a byte offset into it (its tlmm_addr).
-// The hardware page-table walk of TLMM-Linux is replaced by one initial-exec
-// TLS load of the current worker's region base, so a reducer lookup costs
+// The hardware page-table walk of TLMM-Linux is replaced by a TLS load of
+// the current worker's region base, so a reducer lookup costs
 //   load tlmm_addr  ->  load tls_base  ->  load base[offset]  ->  branch
 // preserving the paper's "two memory accesses and a predictable branch"
-// profile up to a single extra fs:-relative mov.
+// profile up to the extra fs:-relative load and the TLS-init test described
+// at tls_region_base.
 #pragma once
 
 #include <cstddef>
@@ -42,8 +43,11 @@ class WorkerRegion {
   std::size_t capacity_ = 0;
 };
 
-/// The executing worker's region base. Declared with initial-exec TLS model
-/// so an access compiles to a single fs:-relative load inside this binary.
+/// The executing worker's region base. A plain extern thread_local (neither
+/// constinit nor a tls_model attribute): an access from another translation
+/// unit first tests the weak TLS-init wrapper symbol (never called, since
+/// the definition needs no dynamic initialization), then loads the base
+/// fs-relative.
 extern thread_local std::byte* tls_region_base;
 
 /// Install/clear the current thread's region (done by the scheduler when a

@@ -249,7 +249,7 @@ bool run_composite(const Scenario& sc, rt::Scheduler* pool,
     });
   } catch (const std::bad_alloc&) {
     // An armed kAllocRefill site injected an OOM; the run aborted cleanly
-    // through the SpawnFrame::eptr join protocol and the pool is reusable
+    // through the JoinFrame::eptr join protocol and the pool is reusable
     // (the next composite proves it). The partial reduction can't be
     // verified, so the composite passes on the degradation property alone.
     if (!chaos::enabled()) throw;

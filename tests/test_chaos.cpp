@@ -1,7 +1,7 @@
 // Deterministic fault injection (src/chaos/) and the graceful-degradation
 // paths it exercises: refused deque pushes run the child serially in place,
 // fiber-stack exhaustion falls back to the scheduler's own stack, injected
-// allocator OOM propagates as std::bad_alloc through the SpawnFrame::eptr
+// allocator OOM propagates as std::bad_alloc through the JoinFrame::eptr
 // join protocol to Scheduler::run — and none of them abort the process or
 // poison the pool. The pedigree-keyed decisions make the injected fault set
 // a pure function of (seed, site, strand), which the cross-schedule digest

@@ -1,7 +1,7 @@
 // The tagged, NUMA-sharded internal allocator (src/mem/): size-class
 // round-trips, per-tag accounting, magazine refill/flush batching,
 // cross-worker frees, the teardown leak check, node-shard selection against
-// canned sysfs topologies, the consumers rewired through it (SpawnFrame,
+// canned sysfs topologies, the consumers rewired through it (JoinFrame,
 // HyperMap tables, fiber headers), the StackPool's per-node trim — and a
 // DPRNG-driven property test that random view merge/collapse orders keep
 // the allocator's books balanced under all three view-store policies.
@@ -384,12 +384,14 @@ TEST(InternalAllocConsumers, HeapSpawnFramesUseTheFramesTag) {
   auto& alloc = InternalAlloc::instance();
   alloc.stats_sync();
   const auto before = alloc.tag_stats(AllocTag::kFrames);
-  auto* frame = new cilkm::rt::SpawnFrame();
+  // Spawn frames live on the spawner's stack; the join record a promoted
+  // frame needs is the heap-allocated part.
+  auto* join = new cilkm::rt::JoinFrame();
   alloc.stats_sync();
   const auto during = alloc.tag_stats(AllocTag::kFrames);
   EXPECT_EQ(during.allocs, before.allocs + 1);
   EXPECT_EQ(during.live_blocks, before.live_blocks + 1);
-  delete frame;
+  delete join;
   alloc.stats_sync();
   EXPECT_EQ(alloc.tag_stats(AllocTag::kFrames).live_blocks,
             before.live_blocks);

@@ -1,15 +1,22 @@
 // Scheduler / fork-join runtime tests: serial equivalence, nested
-// parallelism, work stealing, parking and joining steals, exceptions.
+// parallelism, work stealing, parking and joining steals, exceptions, and
+// the split between spawn frames and the join records of promoted frames.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "chaos/chaos.hpp"
+#include "mem/internal_alloc.hpp"
 #include "runtime/api.hpp"
+#include "runtime/frame.hpp"
+#include "util/cache.hpp"
 
 namespace {
 
@@ -193,6 +200,94 @@ TEST(Exceptions, PropagatesFromStolenBranch) {
                        });
                  }),
       std::runtime_error);
+}
+
+// ------------------------------------------------ spawn frames, join records
+
+// An un-stolen fork2join builds nothing but its spawn frame.
+static_assert(std::is_trivially_destructible_v<cilkm::rt::SpawnFrame>);
+static_assert(sizeof(cilkm::rt::SpawnFrameT<std::function<void()>>) <=
+                  cilkm::kCacheLineSize,
+              "a spawn frame fits in one cache line");
+
+/// fib with no serial cutoff: every call above the leaves spawns.
+std::uint64_t fib_spawning(unsigned n) {
+  if (n < 2) return n;
+  std::uint64_t a = 0, b = 0;
+  fork2join([&] { a = fib_spawning(n - 1); },
+            [&] { b = fib_spawning(n - 2); });
+  return a + b;
+}
+
+/// The kFrames tag's counters with every magazine folded in. Call it only
+/// once the Scheduler that ran is destroyed: its threads flush their
+/// magazines on exit.
+cilkm::mem::TagStats frames_tag() {
+  auto& alloc = cilkm::mem::InternalAlloc::instance();
+  alloc.stats_sync();
+  return alloc.tag_stats(cilkm::mem::AllocTag::kFrames);
+}
+
+TEST(JoinRecord, UnstolenSpawnsAllocateNone) {
+  const std::uint64_t allocs = frames_tag().allocs;
+  std::uint64_t result = 0;
+  {
+    cilkm::Scheduler sched(1);
+    sched.run([&] { result = fib_spawning(20); });
+  }
+  EXPECT_EQ(result, fib_serial(20));
+  EXPECT_EQ(frames_tag().allocs, allocs);
+}
+
+/// Stealing runs at P=4: a spawning fib checked against its serial value,
+/// then a run whose stolen branch throws (the left branch waits until the
+/// right one has started, so the right one is always stolen). Every join
+/// record built on the way is freed again.
+void expect_join_records_freed() {
+  const cilkm::mem::TagStats before = frames_tag();
+  {
+    cilkm::Scheduler sched(4);
+    std::uint64_t result = 0;
+    sched.run([&] { result = fib_spawning(22); });
+    EXPECT_EQ(result, fib_serial(22));
+    std::atomic<bool> right_started{false};
+    EXPECT_THROW(sched.run([&] {
+                   fork2join(
+                       [&] {
+                         while (!right_started.load()) {
+                           std::this_thread::yield();
+                         }
+                         fib_spawning(16);
+                       },
+                       [&] {
+                         right_started.store(true);
+                         fib_spawning(16);
+                         throw std::runtime_error("stolen branch");
+                       });
+                 }),
+                 std::runtime_error);
+    EXPECT_GE(sched.total_steals(), 1u);
+  }
+  const cilkm::mem::TagStats after = frames_tag();
+  EXPECT_GT(after.allocs, before.allocs);
+  EXPECT_EQ(after.live_blocks, before.live_blocks);
+}
+
+TEST(JoinRecord, StolenFramesBuildAndFreeTheirRecords) {
+  expect_join_records_freed();
+}
+
+TEST(JoinRecord, VictimsBuildTheRecordWhenThievesAreDelayed) {
+  // Every theft spins between its claim and its launch, so victims often
+  // reach join_slow before their thief and install the record themselves.
+  cilkm::chaos::Config cfg;
+  cfg.p = 1.0;
+  cfg.sites = cilkm::chaos::site_bit(cilkm::chaos::Site::kStealDelay);
+  struct Disarm {
+    ~Disarm() { cilkm::chaos::disarm(); }
+  } disarm_on_exit;  // even if a run throws past the expectations
+  cilkm::chaos::arm(cfg);
+  expect_join_records_freed();
 }
 
 TEST(Scheduler, ReusableAcrossRuns) {
