@@ -2,9 +2,8 @@
 // "`b`, then the join" as a stealable continuation — exactly the
 // continuation-stealing discipline of cilk_spawn/cilk_sync, expressed with
 // closures instead of compiler support. Any spawn/sync pattern desugars into
-// nested fork2join calls (see DESIGN.md Section 3), and each worker executes
-// in precise serial order between steals, which is what the reducer protocol
-// relies on.
+// nested fork2join calls, and each worker executes in precise serial order
+// between steals, which is what the reducer protocol relies on.
 #pragma once
 
 #include <algorithm>

@@ -13,9 +13,9 @@
 //
 //   steal_batch(out, max) — steal-half: one transaction claims up to
 //   ceil((b-t)/2) top entries with a single seq_cst CAS on top_, amortizing
-//   the fence-and-CAS cost that dominates spawn-dense workloads across k
+//   the heavy fence and the CAS that every theft pays (see below) across k
 //   frames. A multi-entry claim is NOT safe in a plain Chase–Lev deque: the
-//   owner pops bottom entries fence-checked against top_ only, so between a
+//   owner pops bottom entries checked against top_ only, so between a
 //   thief's bottom_ read and its CAS the owner can drain the deque down
 //   INTO the thief's intended range without ever touching top_. The classic
 //   Cilk-5 THE protocol closes exactly this race with its exception marker,
@@ -31,6 +31,22 @@
 //   Single steals (k == 1) keep the lock-free Chase–Lev
 //   path unchanged: they claim only index t, which the top_ CAS itself
 //   protects.
+//
+// Asymmetric fences (Ladan-Mozes, Lee and Vyukov, "Location-Based Memory
+// Fences", SPAA'11). Both Dekker pairs — the owner's bottom_ store against
+// its exc_/top_ loads, and a thief's top_ load or exc_ store against its
+// bottom_ load — need a store-load barrier on each side. Every spawn pops,
+// and only a theft steals, so the owner's side is a compiler barrier only
+// and the thief pays for both with heavy_fence(): membarrier(2) makes every
+// running thread of the process execute a full barrier before it returns
+// (a thread that is not running passes one at its next context switch).
+// That barrier lands somewhere in the owner's pop. If it lands after the
+// bottom_ store, the store is visible before the thief's bottom_ read, and
+// the thief sees the decrement. If it lands before the store, the owner's
+// exc_ and top_ loads run after it and see every value the thief read or
+// wrote before its call. Either way one side observes the other, as with
+// two seq_cst fences. A thief probes for an empty deque before it fences,
+// so idle probing makes no system call.
 //
 // Layout discipline (cf. the OpenCilk __cilkrts_worker hot/cold split): the
 // owner-hot line holds bottom_ plus the wake-gate fields read on every
@@ -51,6 +67,13 @@ namespace cilkm::rt {
 
 struct SpawnFrame;
 
+/// The thieves' half of the asymmetric Dekker fence (file comment):
+/// membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED), so every running thread of
+/// the process executes a full barrier before this returns. Aborts with the
+/// errno if the kernel refuses. Out of line: the syscall headers stay in
+/// deque.cpp.
+void heavy_fence() noexcept;
+
 class Deque {
  public:
   static constexpr std::size_t kCapacity = std::size_t{1} << 16;
@@ -60,6 +83,10 @@ class Deque {
   /// victim's deque is ("half" mode caps here). Bounds the thief-side copy
   /// buffer and the time the thief lock is held.
   static constexpr unsigned kMaxStealBatch = 64;
+
+  /// Registers the process for heavy_fence() on first use (once per
+  /// process); aborts if the kernel lacks membarrier(2) or forbids it.
+  Deque() noexcept;
 
   /// Wire the owning scheduler's parking lot into this deque: push() then
   /// wakes parked workers after publishing the new bottom entry. `tier_of`
@@ -140,7 +167,9 @@ class Deque {
   /// only index t, so the CAS alone arbitrates against the owner.
   SpawnFrame* steal() noexcept {
     std::int64_t t = top_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+    // Fence-free probe: an empty deque costs no system call.
+    if (t >= bottom_.load(std::memory_order_acquire)) return nullptr;
+    heavy_fence();
     const std::int64_t b = bottom_.load(std::memory_order_acquire);
     if (t >= b) return nullptr;
     SpawnFrame* frame =
@@ -195,12 +224,12 @@ class Deque {
       return 0;
     }
     // Announce the claim bound, then Dekker-fence against the owner's
-    // bottom_ decrement: the owner stores bottom_ / fences / loads exc_,
-    // we store exc_ / fence / load bottom_ — at least one side observes
-    // the other, so either we shrink below every concurrent pop or the
-    // owner backs out into the lock-resolved conflict path.
+    // bottom_ decrement: the owner stores bottom_ / loads exc_, we store
+    // exc_ / heavy-fence / load bottom_ — at least one side observes the
+    // other (file comment), so either we shrink below every concurrent pop
+    // or the owner backs out into the lock-resolved conflict path.
     exc_.store(t + want, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+    heavy_fence();
     const std::int64_t b2 = bottom_.load(std::memory_order_acquire);
     const std::int64_t k = b2 - t < want ? b2 - t : want;
     if (k <= 0) {
@@ -286,14 +315,18 @@ class Deque {
                                            SpawnFrame** out) noexcept {
     std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
     bottom_.store(b, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+    // The owner's half of the asymmetric Dekker fence: only the compiler is
+    // kept from moving the loads below above the store. The CPU may still
+    // hold the store in its store buffer; the thief's heavy_fence() drains
+    // it or runs before these loads (file comment).
+    std::atomic_signal_fence(std::memory_order_seq_cst);
     // A batching thief may have announced a claim [*, exc_) that covers
-    // index b while its top_ CAS is still in flight; popping b fence-free
+    // index b while its top_ CAS is still in flight; popping b unchecked
     // would race it. Back out and let take_impl resolve under the lock.
     //
     // The check must be an ACQUIRE load and must come BEFORE the top_ load.
-    // The Dekker pair (our bottom_ store / fence / exc_ load vs the thief's
-    // exc_ store / fence / bottom_ load) guarantees that when the thief's
+    // The Dekker pair (our bottom_ store / exc_ load vs the thief's exc_
+    // store / heavy fence / bottom_ load) guarantees that when the thief's
     // claim could cover b we read either the announcement — back out — or
     // the post-CAS clear; the clear is a release store sequenced after the
     // CAS, so acquiring it forces the top_ load below to observe top_ moved

@@ -1,10 +1,10 @@
 // Spawn frames, split the way Cilk-5's work-first design splits them. Every
 // fork2join pushes a SpawnFrame — four words on the spawner's stack: the
 // deferred branch's invoker, the pedigree snapshot, and a pointer to the
-// frame's join record — and an un-stolen frame costs only that push and a
-// fenced pop. The full frame of the paper (the join-arrival counter, the
-// parked continuation, and the view-deposit placeholders that hold the
-// left-child / right-sibling hypermaps, or public SPA maps in the
+// frame's join record — and an un-stolen frame costs only that push and an
+// unfenced pop (deque.hpp). The full frame of the paper (the join-arrival
+// counter, the parked continuation, and the view-deposit placeholders that
+// hold the left-child / right-sibling hypermaps, or public SPA maps in the
 // memory-mapping scheme) is a JoinFrame, built only when a frame is promoted:
 // stolen by a thief, or self-popped by its own worker's scheduler loop.
 #pragma once

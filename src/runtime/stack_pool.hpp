@@ -1,6 +1,6 @@
 // Pooled, guard-paged fiber stacks. Fibers are the reproduction's stand-in
-// for Cilk-M's TLMM-backed cactus stack (DESIGN.md): each stolen branch and
-// each parked join continuation occupies one. Free fibers recycle through
+// for Cilk-M's TLMM-backed cactus stack: each stolen branch and each
+// parked join continuation occupies one. Free fibers recycle through
 // per-NUMA-node shards (stack pages were first-touched on the node that
 // carved them; node-local recycling keeps them there), with a small
 // per-worker LIFO cache in front and a high-water trim behind: shards

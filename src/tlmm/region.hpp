@@ -1,6 +1,6 @@
-// Fast user-space emulation of a worker's TLMM region (DESIGN.md
-// substitution (b)). Each worker owns one contiguous, lazily committed
-// private region; a reducer stores a byte offset into it (its tlmm_addr).
+// Fast user-space emulation of a worker's TLMM region. Each worker owns one
+// contiguous, lazily committed private region; a reducer stores a byte
+// offset into it (its tlmm_addr).
 // The hardware page-table walk of TLMM-Linux is replaced by a TLS load of
 // the current worker's region base, so a reducer lookup costs
 //   load tlmm_addr  ->  load tls_base  ->  load base[offset]  ->  branch

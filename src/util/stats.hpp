@@ -74,8 +74,11 @@ struct WorkerStats {
   /// the scheduler's victim tiers (same-core / same-package / remote).
   static constexpr std::size_t kStealTiers = 3;
   /// Log2 histogram buckets at 128 ns granularity: bucket 0 is < 256 ns,
-  /// each next bucket doubles, bucket 7 collects everything ≥ ~8.2 µs.
-  static constexpr std::size_t kStealLatBuckets = 8;
+  /// bucket b ≥ 1 covers [128·2^b, 128·2^(b+1)) ns, and bucket 11 collects
+  /// everything ≥ 262,144 ns. A theft pays one membarrier(2) (deque.hpp),
+  /// several µs with other threads running, so the top buckets stay
+  /// resolved where that cost lands.
+  static constexpr std::size_t kStealLatBuckets = 12;
 
   std::array<std::uint64_t, static_cast<std::size_t>(StatCounter::kCount)>
       counters{};

@@ -272,4 +272,67 @@ TEST(DequeStress, ConcurrentBatchStealersLoseNoFrameAndDuplicateNone) {
   EXPECT_EQ(own + stolen_total, kFrames);
 }
 
+TEST(DequeStress, DrainedEveryRoundEachFrameSurfacesOnce) {
+  // The owner pushes four frames and pops all four each round, so nearly
+  // every pop races a thief for the last entries: the window that only the
+  // asymmetric Dekker pair (the owner's unfenced pop against the thieves'
+  // heavy_fence()) closes. A single-steal thief and two batch thieves spin
+  // on the victim, and every frame of every round must surface exactly once
+  // across the owner's pops and the thieves' takes.
+  Deque dq;
+  constexpr std::size_t kRounds = 50000;
+  constexpr std::size_t kPerRound = 4;
+  constexpr unsigned kCaps[] = {1u, 2u, Deque::kMaxStealBatch};
+  std::vector<SpawnFrame> frames(kRounds * kPerRound);
+
+  std::atomic<bool> start{false};
+  std::atomic<bool> done{false};
+  std::vector<std::vector<SpawnFrame*>> taken(std::size(kCaps) + 1);
+
+  std::vector<std::thread> thieves;
+  for (std::size_t t = 0; t < std::size(kCaps); ++t) {
+    thieves.emplace_back([&, t] {
+      SpawnFrame* buf[Deque::kMaxStealBatch];
+      while (!start.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      while (true) {
+        const unsigned got = dq.steal_batch(buf, kCaps[t]);
+        taken[t].insert(taken[t].end(), buf, buf + got);
+        if (got == 0 && done.load(std::memory_order_acquire) && dq.empty()) {
+          break;
+        }
+      }
+    });
+  }
+
+  start.store(true, std::memory_order_release);
+  std::vector<SpawnFrame*>& own = taken.back();
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    for (std::size_t i = 0; i < kPerRound; ++i) {
+      dq.push(&frames[r * kPerRound + i]);
+    }
+    for (std::size_t i = 0; i < kPerRound; ++i) {
+      if (SpawnFrame* f = dq.take_any()) own.push_back(f);
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& th : thieves) th.join();
+
+  std::vector<int> surfaced(frames.size(), 0);
+  for (const auto& v : taken) {
+    for (SpawnFrame* f : v) {
+      ++surfaced[static_cast<std::size_t>(f - frames.data())];
+    }
+  }
+  std::size_t duplicated = 0;
+  std::size_t lost = 0;
+  for (const int n : surfaced) {
+    if (n > 1) ++duplicated;
+    if (n == 0) ++lost;
+  }
+  EXPECT_EQ(duplicated, 0u) << "frames that surfaced more than once";
+  EXPECT_EQ(lost, 0u) << "frames that never surfaced";
+}
+
 }  // namespace

@@ -173,8 +173,8 @@ TEST(MetricsRegistry, FlattenUsesStableNames) {
   for (const char* expected :
        {"workers", "steals", "stolen_frames", "hypermerge_ns",
         "view_transfer_ns", "steal_ns_t0", "steal_count_t2",
-        "steal_hist_t0_b0", "steal_hist_t2_b7", "mem.views.live_bytes",
-        "mem.frames.peak_blocks", "mem.general.refills",
+        "steal_hist_t0_b0", "steal_hist_t2_b7", "steal_hist_t2_b11",
+        "mem.views.live_bytes", "mem.frames.peak_blocks", "mem.general.refills",
         "trace_dropped_records"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "missing metric " << expected;

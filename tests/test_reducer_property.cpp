@@ -7,6 +7,7 @@
 
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "reducers/reducers.hpp"
@@ -81,12 +82,17 @@ struct Oracle {
   }
 };
 
+// gtest names each case by printing its Params byte by byte, so Params has
+// no padding: an indeterminate byte in that printout would give the case a
+// new CTest name in every gtest_discover_tests listing.
 struct Params {
   std::uint64_t seed;
   unsigned workers;
   unsigned depth;
   bool jitter;
+  char zero_tail[7] = {};  // fills what would be tail padding
 };
+static_assert(std::has_unique_object_representations_v<Params>);
 
 class RandomDagProperty : public ::testing::TestWithParam<Params> {};
 
@@ -151,9 +157,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RandomDagProperty,
 TEST(RandomDagStress, RepeatedRunsAreIdentical) {
   SCOPED_TRACE(cilkm::test::seed_trace());
   const Params p{cilkm::test::derived_seed(4), 4, 10, true};
-  const TreeShape shape{p.seed, p.depth, 4};
-  Oracle oracle{{}, std::vector<long>(7, 0), shape};
-  oracle.node(0, 0);
   for (int round = 0; round < 10; ++round) {
     run_property<cilkm::mm_policy>(p);
   }

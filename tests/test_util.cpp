@@ -5,6 +5,7 @@
 #include <atomic>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/cache.hpp"
@@ -136,6 +137,19 @@ TEST(Stats, CountersIndexAndAggregate) {
   EXPECT_EQ(a[StatCounter::kViewsCreated], 9u);
   a.reset();
   EXPECT_EQ(a[StatCounter::kSteals], 0u);
+}
+
+TEST(Stats, StealLatencyBucketBounds) {
+  // Bucket b >= 1 starts at 128 * 2^b ns; the last one is open-ended.
+  const std::pair<std::uint64_t, std::size_t> cases[] = {
+      {0, 0},     {255, 0},     {256, 1},     {16383, 6},
+      {16384, 7}, {262143, 10}, {262144, 11}, {~std::uint64_t{0}, 11}};
+  for (const auto& [ns, bucket] : cases) {
+    WorkerStats s;
+    s.record_steal(0, ns);
+    EXPECT_EQ(s.steal_lat_hist[0][bucket], 1u) << ns << " ns";
+  }
+  static_assert(WorkerStats::kStealLatBuckets == 12);
 }
 
 TEST(Stats, EveryCounterHasAName) {

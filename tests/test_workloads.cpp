@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "runtime/scheduler.hpp"
@@ -25,24 +26,33 @@ using cilkm::workloads::RunConfig;
 using cilkm::workloads::RunResult;
 using cilkm::workloads::Workload;
 
+// gtest prints a Cell byte by byte after each case's name, and CTest names
+// include that printout, so a cell holds its workload's registry index, not
+// its address: the names are then the same in every listing.
 struct Cell {
-  const Workload* workload;
+  std::size_t workload_index;
   PolicyKind policy;
   unsigned workers;
+
+  const Workload& workload() const {
+    return Registry::instance().all()[workload_index];
+  }
 };
+static_assert(std::has_unique_object_representations_v<Cell>);
 
 std::string cell_name(const ::testing::TestParamInfo<Cell>& info) {
-  return info.param.workload->name + "_" +
+  return info.param.workload().name + "_" +
          cilkm::workloads::policy_name(info.param.policy) + "_P" +
          std::to_string(info.param.workers);
 }
 
 std::vector<Cell> matrix() {
   std::vector<Cell> cells;
-  for (const Workload& w : Registry::instance().all()) {
+  const std::size_t num_workloads = Registry::instance().all().size();
+  for (std::size_t w = 0; w < num_workloads; ++w) {
     for (const PolicyKind policy : cilkm::workloads::kAllPolicies) {
       for (const unsigned p : cilkm::workloads::default_worker_counts()) {
-        cells.push_back({&w, policy, p});
+        cells.push_back({w, policy, p});
       }
     }
   }
@@ -72,9 +82,9 @@ TEST_P(WorkloadMatrix, CellVerifiesAgainstSerialReference) {
   cfg.scale = 1;
   cfg.seed = cilkm::test::base_seed();
   cfg.scheduler = shared_pool(cell.workers);
-  const RunResult result = cell.workload->run_policy(cell.policy, cfg);
+  const RunResult result = cell.workload().run_policy(cell.policy, cfg);
   EXPECT_TRUE(result.verified)
-      << cell.workload->name << " under "
+      << cell.workload().name << " under "
       << cilkm::workloads::policy_name(cell.policy) << " with P="
       << cell.workers << ": " << result.detail;
   EXPECT_GT(result.items, 0u);
