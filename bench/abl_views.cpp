@@ -116,6 +116,5 @@ int main(int argc, char** argv) {
   cilkm::Scheduler sched(16);
   end_to_end<cilkm::mm_policy>(sched, reps, report);
   end_to_end<cilkm::hypermap_policy>(sched, reps, report);
-  end_to_end<cilkm::flat_policy>(sched, reps, report);
   return 0;
 }

@@ -1,9 +1,7 @@
 // Figure 6: reducer lookup overhead — time(add-n) minus time(add-base-n) on
-// a single processor, n ∈ {4, 8, ..., 1024}, for every view-store policy.
+// a single processor, n ∈ {4, 8, ..., 1024}, for both view-store policies.
 // The paper's result: Cilk-M's overhead is flat in n (two loads and a
-// branch), while Cilk Plus's hash-table lookup cost varies with n. The flat
-// policy (dense-id array) is the ablation floor: what lookup costs when the
-// key is already a perfect index.
+// branch), while Cilk Plus's hash-table lookup cost varies with n.
 //
 //   ./fig06_lookup [--lookups N] [--reps R]
 #include <cstdio>
@@ -19,8 +17,8 @@ int main(int argc, char** argv) {
   std::printf("# Figure 6: lookup overhead on 1 processor "
               "(time of add-n minus time of add-base-n, %llu lookups)\n",
               static_cast<unsigned long long>(lookups));
-  std::printf("%-10s %14s %14s %14s %10s\n", "bench", "Cilk-M (s)",
-              "Cilk Plus (s)", "flat (s)", "CP/M");
+  std::printf("%-10s %14s %14s %10s\n", "bench", "Cilk-M (s)",
+              "Cilk Plus (s)", "CP/M");
 
   bench::JsonReport report("fig06_lookup");
   cilkm::Scheduler sched(1);
@@ -36,18 +34,12 @@ int main(int argc, char** argv) {
         bench::repeat(sched, reps, [&] {
           bench::MicroBench<cilkm::hypermap_policy>::add_n(n, lookups, grain);
         }).mean_s;
-    const double flat =
-        bench::repeat(sched, reps, [&] {
-          bench::MicroBench<cilkm::flat_policy>::add_n(n, lookups, grain);
-        }).mean_s;
     const double mm_over = mm - base;
     const double hyper_over = hyper - base;
-    const double flat_over = flat - base;
-    std::printf("add-%-6u %14.4f %14.4f %14.4f %9.2fx\n", n, mm_over,
-                hyper_over, flat_over, hyper_over / mm_over);
+    std::printf("add-%-6u %14.4f %14.4f %9.2fx\n", n, mm_over, hyper_over,
+                hyper_over / mm_over);
     report.add("mm", n, {{"overhead_s", mm_over}, {"time_s", mm}});
     report.add("hypermap", n, {{"overhead_s", hyper_over}, {"time_s", hyper}});
-    report.add("flat", n, {{"overhead_s", flat_over}, {"time_s", flat}});
     report.add("base", n, {{"time_s", base}});
   }
   std::printf("# paper: Cilk-M overhead flat in n; Cilk Plus overhead larger "

@@ -12,9 +12,11 @@
 //   hypermap_policy  the Cilk Plus baseline: a per-worker hash table keyed
 //                    by the reducer's address.
 //
-//   flat_policy      ablation upper bound: a dense per-worker array indexed
-//                    by a globally allocated reducer id — no hashing, no
-//                    mmap emulation; a lookup is a bounds check and a load.
+//   flat_policy      a dense per-worker array indexed by a globally
+//                    allocated reducer id — no hashing, no mmap emulation.
+//                    Not an upper bound (its lookup measures slower than
+//                    mm's); no workload or bench runs it, and it is slated
+//                    for removal.
 //
 // All mechanisms share the ViewOps ABI, the view-transferal/hypermerge
 // engine in the views layer, and these semantics: the value observed after

@@ -51,6 +51,16 @@ struct ProfileState : Totals {
 
 namespace detail {
 extern std::atomic<bool> g_profiler_enabled;
+
+/// The clock strand_begin, strand_end and BurdenTimer read: now_ns. A test
+/// swaps in a deterministic clock between runs to make totals exact; no
+/// option or flag reaches it. Relaxed, like the enable flag: it changes only
+/// while no run is in flight.
+extern std::atomic<std::uint64_t (*)() noexcept> g_profiler_clock;
+
+inline std::uint64_t profiler_now() noexcept {
+  return g_profiler_clock.load(std::memory_order_relaxed)();
+}
 }  // namespace detail
 
 /// Cheap global gate read on every fork2join. Relaxed: toggling is only
@@ -62,13 +72,13 @@ inline bool profiler_enabled() noexcept {
 
 /// Start timing a strand on the current thread.
 inline void strand_begin(ProfileState& ps) noexcept {
-  ps.strand_start = now_ns();
+  ps.strand_start = detail::profiler_now();
 }
 
 /// Close the running strand: charge its elapsed time to work, span, and
 /// burden alike (a strand is on its own critical path by definition).
 inline void strand_end(ProfileState& ps) noexcept {
-  const std::uint64_t d = now_ns() - ps.strand_start;
+  const std::uint64_t d = detail::profiler_now() - ps.strand_start;
   ps.work += d;
   ps.span += d;
   ps.burden += d;
@@ -80,9 +90,9 @@ class BurdenTimer {
  public:
   explicit BurdenTimer(std::uint64_t* slot) noexcept
       : slot_(profiler_enabled() ? slot : nullptr),
-        start_(slot_ != nullptr ? now_ns() : 0) {}
+        start_(slot_ != nullptr ? detail::profiler_now() : 0) {}
   ~BurdenTimer() {
-    if (slot_ != nullptr) *slot_ += now_ns() - start_;
+    if (slot_ != nullptr) *slot_ += detail::profiler_now() - start_;
   }
 
   BurdenTimer(const BurdenTimer&) = delete;

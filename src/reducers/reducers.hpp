@@ -1,8 +1,8 @@
 // Convenience reducer aliases in the style of the Cilk Plus reducer library
 // headers (reducer_opadd.h etc.). The Policy parameter selects the runtime
 // view store: mm_policy (memory-mapped, the paper's contribution, default),
-// hypermap_policy (the Cilk Plus baseline), or flat_policy (dense-id array,
-// the ablation upper bound) — see views/view_store.hpp for the contract.
+// hypermap_policy (the Cilk Plus baseline), or flat_policy (a dense-id
+// array slated for removal) — see views/view_store.hpp for the contract.
 #pragma once
 
 #include "core/reducer.hpp"

@@ -62,21 +62,14 @@ Worker::~Worker() {
 // to views_ (the ViewStoreSet); this file only sequences the join protocol.
 // ---------------------------------------------------------------------------
 
-void Worker::merge_left(ViewSetDeposit* in) {
+void Worker::merge(ViewSetDeposit* in, bool deposit_is_left) {
   // Merges allocate (monoid combines, table growth) inside the join
   // protocol, outside any JoinFrame::eptr catch: injected allocator faults
   // are suppressed here, injected protocol delays are not.
   chaos::SuppressFaults suppress;
   chaos::maybe_delay(chaos::Site::kMergeDelay);
   Tracer::instance().record(id_, TraceEvent::kMerge, in);
-  views_.merge_deposit_left(in);
-}
-
-void Worker::merge_right(ViewSetDeposit* in) {
-  chaos::SuppressFaults suppress;
-  chaos::maybe_delay(chaos::Site::kMergeDelay);
-  Tracer::instance().record(id_, TraceEvent::kMerge, in);
-  views_.merge_deposit_right(in);
+  views_.merge(in, deposit_is_left);
 }
 
 void Worker::deposit(JoinFrame* join, bool victim) {
@@ -104,7 +97,7 @@ void Worker::reinstall(JoinFrame* join, std::uint64_t* burden_slot) {
   // store is ordered before its read.
   obs::BurdenTimer burden(burden_slot);
   views_.install_deposit(&join->left_views);
-  merge_right(&join->right_views);
+  merge(&join->right_views, /*deposit_is_left=*/false);
 }
 
 void Worker::resume_parked(JoinFrame* join, Context* from, TraceEvent ev) {
@@ -210,7 +203,7 @@ void Worker::join_thief(JoinFrame* join, Context* from) {
     // The continuation resumes on THIS thread, so the post-publish burden
     // store is still ordered before its read.
     obs::BurdenTimer burden(&join->prof_b.burden);
-    merge_left(&join->left_views);
+    merge(&join->left_views, /*deposit_is_left=*/true);
   } else {
     // Deposit our views on the right, THEN announce the arrival: the other
     // side must never observe a half-built deposit.
@@ -280,7 +273,7 @@ JoinFrame* Worker::join_slow(SpawnFrame* frame) {
     // right of ours and carry on without parking. The caller (fork2join's
     // slow path, same thread) reads this burden right after we return.
     obs::BurdenTimer burden(&join->prof_burden_left);
-    w->merge_right(&join->right_views);
+    w->merge(&join->right_views, /*deposit_is_left=*/false);
     return join;
   }
   // Park: transfer our views (serially earlier than the thief's) into the

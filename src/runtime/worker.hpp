@@ -114,8 +114,7 @@ class alignas(1024) Worker {
   // calling side's JoinFrame profiler slot (prof_burden_left for the
   // victim, prof_b.burden for the thief).
   void deposit(JoinFrame* join, bool victim);
-  void merge_left(ViewSetDeposit* in);
-  void merge_right(ViewSetDeposit* in);
+  void merge(ViewSetDeposit* in, bool deposit_is_left);
   void reinstall(JoinFrame* join, std::uint64_t* burden_slot);
   void resume_parked(JoinFrame* join, Context* from, TraceEvent ev);
   /// Leave a finished strand for the scheduler loop: a fiber recycles itself

@@ -24,9 +24,9 @@ void SpaViewStore::install(std::uint64_t offset, void* view,
   CILKM_DCHECK(slot->empty(), "installing over a live view");
   slot->view = view;
   slot->ops = ops;
-  const bool first_in_page = page->num_valid == 0;
+  const bool unlisted = page->num_logs == 0;
   page->note_insert(spa::offset_index(offset));
-  if (first_in_page) touched_pages_.push_back(page_idx);
+  if (unlisted) touched_pages_.push_back(page_idx);
 }
 
 void* SpaViewStore::extract(std::uint64_t offset) {
@@ -37,7 +37,7 @@ void* SpaViewStore::extract(std::uint64_t offset) {
   spa::SpaPage* page = page_at(spa::offset_page(offset));
   CILKM_DCHECK(page->num_valid > 0, "page valid-count underflow");
   --page->num_valid;
-  // The page stays in touched_pages_; transferal skips empty pages, and a
+  // The page stays listed with its log; transferal skips empty pages, and a
   // stale log entry is harmless because the slot is now a null pair.
   return view;
 }
@@ -55,17 +55,18 @@ void SpaViewStore::deposit(std::vector<spa::SpaDepositEntry>* out) {
   ScopedTimerNs timer((*stats_)[StatCounter::kViewTransferNs]);
   for (const std::uint32_t page_idx : touched_pages_) {
     spa::SpaPage* priv = page_at(page_idx);
-    if (priv->all_empty()) continue;
-    spa::SpaPage* pub = spa::acquire_page();
-    priv->for_each_valid([&](std::uint32_t idx, spa::ViewSlot& slot) {
-      pub->views[idx] = slot;
-      pub->note_insert(idx);
-      slot = spa::ViewSlot{nullptr, nullptr};
-      ++(*stats_)[StatCounter::kViewsTransferred];
-    });
-    priv->num_valid = 0;
-    priv->num_logs = 0;
-    out->push_back({page_idx, pub});
+    if (!priv->all_empty()) {
+      spa::SpaPage* pub = spa::acquire_page();
+      priv->for_each_valid([&](std::uint32_t idx, spa::ViewSlot& slot) {
+        pub->views[idx] = slot;
+        pub->note_insert(idx);
+        slot = spa::ViewSlot{nullptr, nullptr};
+        ++(*stats_)[StatCounter::kViewsTransferred];
+      });
+      priv->num_valid = 0;
+      out->push_back({page_idx, pub});
+    }
+    priv->num_logs = 0;  // after the walk, which reads the log
   }
   touched_pages_.clear();
 }
@@ -108,13 +109,14 @@ void SpaViewStore::merge(std::vector<spa::SpaDepositEntry>* in,
 void SpaViewStore::collapse_into_leftmosts() {
   for (const std::uint32_t page_idx : touched_pages_) {
     spa::SpaPage* page = page_at(page_idx);
-    if (page->all_empty()) continue;
-    page->for_each_valid([&](std::uint32_t, spa::ViewSlot& slot) {
-      slot.ops->collapse(slot.ops->reducer, slot.view);
-      slot = spa::ViewSlot{nullptr, nullptr};
-    });
-    page->num_valid = 0;
-    page->num_logs = 0;
+    if (!page->all_empty()) {
+      page->for_each_valid([&](std::uint32_t, spa::ViewSlot& slot) {
+        slot.ops->collapse(slot.ops->reducer, slot.view);
+        slot = spa::ViewSlot{nullptr, nullptr};
+      });
+      page->num_valid = 0;
+    }
+    page->num_logs = 0;  // after the walk, which reads the log
   }
   touched_pages_.clear();
 }
@@ -272,20 +274,12 @@ void ViewStoreSet::install_deposit(ViewSetDeposit* in) {
   flat_.install_deposit(&in->flat);
 }
 
-void ViewStoreSet::merge_deposit(ViewSetDeposit* in, bool deposit_is_left) {
+void ViewStoreSet::merge(ViewSetDeposit* in, bool deposit_is_left) {
   ScopedTimerNs timer((*stats_)[StatCounter::kHypermergeNs]);
   ++(*stats_)[StatCounter::kHypermerges];
   spa_.merge(&in->spa, deposit_is_left);
   hypermap_.merge(std::move(in->hmap), deposit_is_left);
   flat_.merge(&in->flat, deposit_is_left);
-}
-
-void ViewStoreSet::merge_deposit_left(ViewSetDeposit* in) {
-  merge_deposit(in, /*deposit_is_left=*/true);
-}
-
-void ViewStoreSet::merge_deposit_right(ViewSetDeposit* in) {
-  merge_deposit(in, /*deposit_is_left=*/false);
 }
 
 void ViewStoreSet::collapse_into_leftmosts() {

@@ -23,10 +23,11 @@
 //   SpaViewStore       mm_policy        the paper's contribution — SPA maps
 //                                       in an emulated-TLMM region
 //   HyperMapViewStore  hypermap_policy  the Cilk Plus baseline hash table
-//   FlatViewStore      flat_policy      ablation: a dense reducer-id-indexed
-//                                       array (no hashing, no mmap
-//                                       emulation) — the "what if ids were
-//                                       perfect" upper bound
+//   FlatViewStore      flat_policy      a dense reducer-id-indexed array
+//                                       (no hashing, no mmap emulation);
+//                                       its lookup measures slower than
+//                                       mm's, no workload or bench runs
+//                                       it, and it is slated for removal
 //
 // A worker owns one ViewStoreSet holding all three, so every program can mix
 // policies and the benchmarks compare them inside a single binary. The
@@ -117,8 +118,16 @@ class SpaViewStore {
 
   void collapse_into_leftmosts();
 
+  /// How many pages the touched-page log lists; test hook.
+  std::size_t touched_page_count() const noexcept {
+    return touched_pages_.size();
+  }
+
  private:
   tlmm::WorkerRegion region_{spa::kRegionBytes};
+  // Every private page whose num_logs is non-zero, each listed once: the
+  // pages deposit and collapse walk. Both reset num_logs on every page they
+  // unlist, so create/destroy cycles between transferals cannot grow it.
   std::vector<std::uint32_t> touched_pages_;
   spa::LocalSlotCache slot_cache_;
   WorkerStats* stats_;
@@ -168,13 +177,13 @@ class HyperMapViewStore {
 };
 
 // ---------------------------------------------------------------------------
-// FlatViewStore — dense-id ablation (flat_policy)
+// FlatViewStore — dense-id array (flat_policy)
 // ---------------------------------------------------------------------------
 
 /// A worker-indexed flat view array: reducer id → (view, ops), no hashing,
-/// no mmap emulation. Lookup is one bounds check and one array load — the
-/// cheapest conceivable implementation of the contract, which is exactly
-/// what makes it a useful third point in the ablation benches.
+/// no mmap emulation. Lookup is a bounds check and an array load, but
+/// reaching the array costs Worker::current() and a std::vector, so it is
+/// no upper bound: mm's lookup measures faster.
 class FlatViewStore {
  public:
   explicit FlatViewStore(WorkerStats* stats) : stats_(stats) {}
@@ -237,20 +246,15 @@ class ViewStoreSet {
   /// Adopt a full deposit; requires an empty ambient.
   void install_deposit(ViewSetDeposit* in);
 
-  /// Hypermerge a deposit that is serially EARLIER than the ambient views
-  /// (deposit ⊗ ambient).
-  void merge_deposit_left(ViewSetDeposit* in);
-
-  /// Hypermerge a deposit that is serially LATER than the ambient views
-  /// (ambient ⊗ deposit).
-  void merge_deposit_right(ViewSetDeposit* in);
+  /// Hypermerge a deposit into the ambient views: deposit ⊗ ambient when
+  /// `deposit_is_left` (the deposit is serially earlier), else
+  /// ambient ⊗ deposit.
+  void merge(ViewSetDeposit* in, bool deposit_is_left);
 
   /// Quiescence: fold every remaining view into its reducer's leftmost.
   void collapse_into_leftmosts();
 
  private:
-  void merge_deposit(ViewSetDeposit* in, bool deposit_is_left);
-
   SpaViewStore spa_;
   HyperMapViewStore hypermap_;
   FlatViewStore flat_;

@@ -28,7 +28,7 @@ namespace cilkm::workloads {
 namespace {
 
 constexpr const char* kUsage =
-    "usage: cilkm_run [--list] [--workload NAME|all]... [--policy mm|hypermap|flat|all]...\n"
+    "usage: cilkm_run [--list] [--workload NAME|all]... [--policy mm|hypermap|all]...\n"
     "                 [--workers N[,N...]] [--scale S] [--seed X] [--reps R]\n"
     "                 [--figure NAME|none] [--pin] [--placement spread|compact]\n"
     "                 [--wake-batch K] [--steal locality|uniform]\n"

@@ -15,7 +15,7 @@ namespace cilkm::workloads {
 
 struct DriverOptions {
   std::vector<std::string> workload_names;  // empty = every registered one
-  std::vector<PolicyKind> policies;         // empty = all three
+  std::vector<PolicyKind> policies;         // empty = both
   std::vector<unsigned> workers;            // empty = {1, 2, hw_concurrency}
   unsigned scale = 1;
   std::uint64_t seed = RunConfig{}.seed;

@@ -299,8 +299,6 @@ bool run_scenario(const Scenario& sc, rt::Scheduler* pool,
     case PolicyKind::kMm: return dispatch_monoid<mm_policy>(sc, pool, detail);
     case PolicyKind::kHypermap:
       return dispatch_monoid<hypermap_policy>(sc, pool, detail);
-    case PolicyKind::kFlat:
-      return dispatch_monoid<flat_policy>(sc, pool, detail);
   }
   *detail = "unreachable policy";
   return false;

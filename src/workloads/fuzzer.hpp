@@ -23,7 +23,7 @@ struct FuzzOptions {
   std::uint64_t seed = kDefaultSeed;  ///< base seed of the sweep
   int iters = 25;                     ///< composites to run (seed, seed+1, …)
   unsigned scale = 1;                 ///< input-size multiplier per composite
-  /// Policies the composite draw may select from (empty = all three).
+  /// Policies the composite draw may select from (empty = both).
   std::vector<PolicyKind> policies;
   /// Worker counts the composite draw may select from (empty = {1, 2, 4}).
   std::vector<unsigned> workers;

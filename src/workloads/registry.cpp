@@ -39,7 +39,6 @@ const char* policy_name(PolicyKind kind) {
   switch (kind) {
     case PolicyKind::kMm: return "mm";
     case PolicyKind::kHypermap: return "hypermap";
-    case PolicyKind::kFlat: return "flat";
   }
   return "?";
 }

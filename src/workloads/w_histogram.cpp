@@ -1,7 +1,7 @@
 // Parallel histogram over a reducer array: one add-reducer per bucket (the
 // classic "reducer array" pattern), plus a max-reducer tracking the largest
 // single value seen. Stresses many simultaneously-live reducers of the same
-// policy — wide SPA pages, big hypermaps, dense flat arrays.
+// policy — wide SPA pages and big hypermaps.
 #include <cstdint>
 #include <memory>
 #include <vector>

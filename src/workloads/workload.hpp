@@ -23,16 +23,16 @@ class Scheduler;
 
 namespace cilkm::workloads {
 
-/// The three view-store mechanisms a workload runs under (the Policy types
-/// of core/reducer.hpp, reified for runtime selection by the driver).
-enum class PolicyKind : int { kMm = 0, kHypermap = 1, kFlat = 2 };
-inline constexpr int kNumPolicies = 3;
-inline constexpr PolicyKind kAllPolicies[] = {
-    PolicyKind::kMm, PolicyKind::kHypermap, PolicyKind::kFlat};
+/// The two view-store mechanisms a workload runs under (the Policy types of
+/// core/reducer.hpp, reified for runtime selection by cilkm_run).
+enum class PolicyKind : int { kMm = 0, kHypermap = 1 };
+inline constexpr int kNumPolicies = 2;
+inline constexpr PolicyKind kAllPolicies[] = {PolicyKind::kMm,
+                                              PolicyKind::kHypermap};
 
 const char* policy_name(PolicyKind kind);
 
-/// Parse "mm" | "hypermap" | "flat"; returns false on anything else.
+/// Parse "mm" | "hypermap"; returns false on anything else.
 bool parse_policy(const std::string& text, PolicyKind* out);
 
 /// Input knobs for one workload cell. `scale` multiplies the workload's
@@ -76,7 +76,7 @@ struct Workload {
   }
 };
 
-/// Instantiate Body<Policy>::run for all three policies. Body is a class
+/// Instantiate Body<Policy>::run for both policies. Body is a class
 /// template over the reducer policy with a static
 /// `RunResult run(const RunConfig&)`.
 template <template <typename> class Body>
@@ -86,7 +86,6 @@ Workload make_workload(std::string name, std::string summary) {
   w.summary = std::move(summary);
   w.run[static_cast<int>(PolicyKind::kMm)] = &Body<mm_policy>::run;
   w.run[static_cast<int>(PolicyKind::kHypermap)] = &Body<hypermap_policy>::run;
-  w.run[static_cast<int>(PolicyKind::kFlat)] = &Body<flat_policy>::run;
   return w;
 }
 

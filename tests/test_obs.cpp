@@ -45,6 +45,28 @@ std::uint64_t spin_work(std::uint64_t iters) {
   return acc;
 }
 
+/// Swaps the profiler's clock for a counter that advances one tick per
+/// read, restoring it on scope exit. A P=1 run makes no steals, so it has no
+/// burden or steal-latency reads: its totals are exact and the same on
+/// every host.
+class CountingClock {
+ public:
+  CountingClock()
+      : saved_(cilkm::obs::detail::g_profiler_clock.exchange(&tick)) {}
+  ~CountingClock() { cilkm::obs::detail::g_profiler_clock.store(saved_); }
+
+  CountingClock(const CountingClock&) = delete;
+  CountingClock& operator=(const CountingClock&) = delete;
+
+ private:
+  static std::uint64_t tick() noexcept {
+    return ticks_.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+
+  static inline std::atomic<std::uint64_t> ticks_{0};
+  std::uint64_t (*saved_)() noexcept;
+};
+
 std::uint64_t fib_spawn(unsigned n) {
   if (n < 2) return n;
   std::uint64_t a = 0, b = 0;
@@ -68,7 +90,10 @@ TEST_F(ProfilerTest, ForkFreeRootHasParallelismExactlyOne) {
 TEST_F(ProfilerTest, FibParallelismGrowsWithInputSize) {
   // fib's DAG parallelism is ~fib(n)/n, so the measured T1/T-inf must climb
   // steeply with n — and the measurement is schedule-independent, so P=1
-  // (every frame self-popped, none stolen) must show it too.
+  // (every frame self-popped, none stolen) must show it too. Under the
+  // counting clock a strand's length is the clock reads it spans, so the
+  // totals are exact: a preempted strand cannot land on the span.
+  CountingClock clock;
   cilkm::run(1, [] { fib_spawn(10); });
   const RunProfile small = Profiler::instance().totals();
   Profiler::instance().reset();
@@ -77,6 +102,10 @@ TEST_F(ProfilerTest, FibParallelismGrowsWithInputSize) {
 
   ASSERT_EQ(small.runs, 1u);
   ASSERT_EQ(large.runs, 1u);
+  EXPECT_EQ(small.work_ns, 265u);
+  EXPECT_EQ(small.span_ns, 19u);
+  EXPECT_EQ(large.work_ns, 32836u);
+  EXPECT_EQ(large.span_ns, 39u);
   EXPECT_GT(large.parallelism(), 2.0);
   EXPECT_GT(large.parallelism(), small.parallelism() * 1.5)
       << "fib(10) parallelism " << small.parallelism() << ", fib(20) "

@@ -356,8 +356,12 @@ struct Sleepers {
       const std::uint32_t ticket = lot->prepare_park(who);
       flag.store(true, std::memory_order_release);
       lot->park(who, ticket, std::chrono::milliseconds(10000));
-      const std::size_t slot = woken_count.fetch_add(1);
-      woken_order[slot].store(static_cast<int>(who), std::memory_order_release);
+      // Claim a slot, fill it, and only then publish the count: a reader
+      // that sees woken_count reach the k sleepers it woke finds k written
+      // slots.
+      const std::size_t slot = next_slot.fetch_add(1);
+      woken_order[slot].store(static_cast<int>(who), std::memory_order_relaxed);
+      woken_count.fetch_add(1, std::memory_order_release);
     });
     // The sleeper must be REGISTERED before the test proceeds (parked_count
     // includes it); the block itself may lag but targeted wakes only need
@@ -373,6 +377,7 @@ struct Sleepers {
   ParkingLot* lot;
   std::deque<std::atomic<bool>> ready;
   std::vector<std::thread> threads;
+  std::atomic<std::size_t> next_slot{0};
   std::atomic<std::size_t> woken_count{0};
   std::array<std::atomic<int>, 16> woken_order{};
 };

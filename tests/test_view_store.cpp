@@ -223,7 +223,7 @@ TEST_F(ViewStoreSetTest, MergeLeftOrdersAllThreeStores) {
   w(1).views().spa().install(off, new StrView{"S2"}, &r_spa.ops);
   w(1).views().hypermap().install(&r_hmap, new StrView{"H2"}, &r_hmap.ops);
   w(1).views().flat().install(2, new StrView{"F2"}, &r_flat.ops);
-  w(1).views().merge_deposit_left(&dep);
+  w(1).views().merge(&dep, /*deposit_is_left=*/true);
   w(1).views().collapse_into_leftmosts();
 
   EXPECT_EQ(r_spa.collapsed, "S1S2");

@@ -94,13 +94,13 @@ TEST_F(ViewMergeTest, MergeLeftPutsDepositBeforeAmbient) {
   FakeReducer r;
   const auto off = spa::offset(0, 7);
   // Worker 0 (victim, serially earlier) deposits "L"; worker 1 (thief)
-  // holds ambient "R". merge_deposit_left must produce "LR".
+  // holds ambient "R". A left merge must produce "LR".
   install(w(0), r, off, "L");
   ViewSetDeposit dep;
   w(0).views().deposit_ambient(&dep);
 
   install(w(1), r, off, "R");
-  w(1).views().merge_deposit_left(&dep);
+  w(1).views().merge(&dep, /*deposit_is_left=*/true);
   EXPECT_EQ(spa_text(w(1), off), "LR");
   w(1).views().collapse_into_leftmosts();
   EXPECT_EQ(r.collapsed, "LR");
@@ -114,7 +114,7 @@ TEST_F(ViewMergeTest, MergeRightPutsDepositAfterAmbient) {
   w(1).views().deposit_ambient(&dep);
 
   install(w(0), r, off, "L");
-  w(0).views().merge_deposit_right(&dep);
+  w(0).views().merge(&dep, /*deposit_is_left=*/false);
   EXPECT_EQ(spa_text(w(0), off), "LR");
   w(0).views().collapse_into_leftmosts();
   EXPECT_EQ(r.collapsed, "LR");
@@ -130,7 +130,7 @@ TEST_F(ViewMergeTest, MergeAdoptsViewsAbsentFromAmbient) {
 
   // Ambient has a view only for r1.
   install(w(1), r1, off1, "Z");
-  w(1).views().merge_deposit_left(&dep);
+  w(1).views().merge(&dep, /*deposit_is_left=*/true);
   EXPECT_EQ(spa_text(w(1), off1), "XZ");
   EXPECT_EQ(spa_text(w(1), off2), "Y");  // adopted untouched
   w(1).views().collapse_into_leftmosts();
@@ -151,7 +151,7 @@ TEST_F(ViewMergeTest, DoubleDepositInstallThenMergeRight) {
 
   EXPECT_TRUE(w(0).views().empty());
   w(0).views().install_deposit(&left);
-  w(0).views().merge_deposit_right(&right);
+  w(0).views().merge(&right, /*deposit_is_left=*/false);
   EXPECT_EQ(spa_text(w(0), off), "AB");
   w(0).views().collapse_into_leftmosts();
   EXPECT_EQ(r.collapsed, "AB");
@@ -167,7 +167,7 @@ TEST_F(ViewMergeTest, HypermapDepositIsPointerSwitchAndOrderCorrect) {
   EXPECT_EQ(dep.hmap.size(), 1u);
 
   w(1).views().hypermap().install(&r, new StrView{"R"}, &r.ops);
-  w(1).views().merge_deposit_left(&dep);
+  w(1).views().merge(&dep, /*deposit_is_left=*/true);
   auto* entry = w(1).views().hypermap().lookup(&r);
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(static_cast<StrView*>(entry->view)->text, "LR");
@@ -186,7 +186,7 @@ TEST_F(ViewMergeTest, HypermapMergeIteratesSmallerMapBothDirections) {
   w(0).views().deposit_ambient(&dep);  // 8 entries
 
   w(1).views().hypermap().install(&rs[2], new StrView{"r"}, &rs[2].ops);
-  w(1).views().merge_deposit_left(&dep);
+  w(1).views().merge(&dep, /*deposit_is_left=*/true);
   EXPECT_EQ(w(1).views().hypermap().map().size(), 8u);
   EXPECT_EQ(static_cast<StrView*>(
                 w(1).views().hypermap().lookup(&rs[2])->view)->text,
@@ -212,7 +212,7 @@ TEST_F(ViewMergeTest, HypermapMergeRightSurvivesSwapOptimisation) {
 
   // Victim ambient: a single serially-earlier "l" for rs[3].
   w(0).views().hypermap().install(&rs[3], new StrView{"l"}, &rs[3].ops);
-  w(0).views().merge_deposit_right(&dep);
+  w(0).views().merge(&dep, /*deposit_is_left=*/false);
 
   EXPECT_EQ(w(0).views().hypermap().map().size(), 8u);
   EXPECT_EQ(static_cast<StrView*>(
@@ -224,6 +224,45 @@ TEST_F(ViewMergeTest, HypermapMergeRightSurvivesSwapOptimisation) {
   w(0).views().collapse_into_leftmosts();
   EXPECT_EQ(rs[3].collapsed, "lr");
   EXPECT_EQ(rs[0].collapsed, "r");
+}
+
+TEST_F(ViewMergeTest, SpaCreateDestroyCyclesListTheirPageOnce) {
+  // Creating and destroying an mm reducer inside one strand installs and
+  // extracts its slot. However many cycles run before the next transferal,
+  // the touched-page log lists the page once.
+  FakeReducer r;
+  auto& store = w(0).views().spa();
+  const auto off = spa::offset(3, 17);
+  for (int i = 0; i < 1000; ++i) {
+    install(w(0), r, off, "x");
+    delete static_cast<StrView*>(store.extract(off));
+  }
+  EXPECT_EQ(store.touched_page_count(), 1u);
+  EXPECT_TRUE(store.empty());
+}
+
+TEST_F(ViewMergeTest, SpaTransferalResetsTheLogOfAnEmptiedPage) {
+  // A page whose views were all extracted has nothing to transfer, but
+  // deposit and collapse must still unlist it and reset its log, or the
+  // next install would not list it again.
+  FakeReducer r;
+  auto& store = w(0).views().spa();
+  const auto off = spa::offset(4, 2);
+  install(w(0), r, off, "x");
+  delete static_cast<StrView*>(store.extract(off));
+  ViewSetDeposit dep;
+  w(0).views().deposit_ambient(&dep);
+  EXPECT_TRUE(dep.spa.empty());
+  EXPECT_EQ(store.page_at(4)->num_logs, 0u);
+  EXPECT_EQ(store.touched_page_count(), 0u);
+
+  install(w(0), r, off, "y");
+  EXPECT_EQ(store.touched_page_count(), 1u);
+  delete static_cast<StrView*>(store.extract(off));
+  w(0).views().collapse_into_leftmosts();
+  EXPECT_EQ(store.page_at(4)->num_logs, 0u);
+  EXPECT_EQ(store.touched_page_count(), 0u);
+  EXPECT_TRUE(r.collapsed.empty());
 }
 
 TEST_F(ViewMergeTest, ManyPagesTransferal) {
@@ -241,7 +280,8 @@ TEST_F(ViewMergeTest, ManyPagesTransferal) {
   w(0).views().deposit_ambient(&dep);
   EXPECT_EQ(dep.spa.size(), 5u);
 
-  w(1).views().merge_deposit_left(&dep);  // all adopted (empty ambient)
+  // An empty ambient adopts every view.
+  w(1).views().merge(&dep, /*deposit_is_left=*/true);
   for (const auto off : offsets) {
     EXPECT_FALSE(w(1).views().spa().slot_at(off)->empty());
   }

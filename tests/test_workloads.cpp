@@ -1,5 +1,5 @@
 // The scenario matrix as the regression suite: every registered workload ×
-// every view-store policy (mm/spa, hypermap, flat) × P ∈ {1, 2,
+// every view-store policy (mm/spa, hypermap) × P ∈ {1, 2,
 // hardware_concurrency}, each cell self-verifying against its serial
 // reference. The parameter list is generated from the workload registry, so
 // registering a new workload automatically grows this sweep (and CTest,
@@ -116,7 +116,7 @@ TEST(WorkloadRegistry, FindUnknownReturnsNull) {
 TEST(WorkloadDriver, ParsesFlagsAndRejectsGarbage) {
   using cilkm::workloads::DriverOptions;
   const char* argv_ok[] = {"cilkm_run", "--workload", "pbfs",    "--policy",
-                           "flat",      "--workers",  "1,2,4",   "--scale",
+                           "hypermap",  "--workers",  "1,2,4",   "--scale",
                            "2",         "--seed",     "0x12345", "--reps",
                            "3"};
   DriverOptions opts;
@@ -125,7 +125,7 @@ TEST(WorkloadDriver, ParsesFlagsAndRejectsGarbage) {
       &opts));
   EXPECT_EQ(opts.workload_names, std::vector<std::string>{"pbfs"});
   ASSERT_EQ(opts.policies.size(), 1u);
-  EXPECT_EQ(opts.policies[0], PolicyKind::kFlat);
+  EXPECT_EQ(opts.policies[0], PolicyKind::kHypermap);
   EXPECT_EQ(opts.workers, (std::vector<unsigned>{1, 2, 4}));
   EXPECT_EQ(opts.scale, 2u);
   EXPECT_EQ(opts.seed, 0x12345u);
