@@ -1,7 +1,7 @@
 // Reducer hyperobjects (paper Sections 2, 5, 6): the public reducer<Monoid,
-// Policy> template, with three interchangeable runtime mechanisms selected
-// at compile time per reducer — each one an implementation of the ViewStore
-// contract (views/view_store.hpp):
+// Policy> template, with the paper's two interchangeable runtime mechanisms
+// selected at compile time per reducer — each one an implementation of the
+// ViewStore contract (views/view_store.hpp):
 //
 //   mm_policy        the paper's contribution: thread-local indirection
 //                    through the (emulated) TLMM region. The reducer stores
@@ -12,13 +12,7 @@
 //   hypermap_policy  the Cilk Plus baseline: a per-worker hash table keyed
 //                    by the reducer's address.
 //
-//   flat_policy      a dense per-worker array indexed by a globally
-//                    allocated reducer id — no hashing, no mmap emulation.
-//                    Not an upper bound (its lookup measures slower than
-//                    mm's); no workload or bench runs it, and it is slated
-//                    for removal.
-//
-// All mechanisms share the ViewOps ABI, the view-transferal/hypermerge
+// Both mechanisms share the ViewOps ABI, the view-transferal/hypermerge
 // engine in the views layer, and these semantics: the value observed after
 // quiescence equals the serial-execution result whenever the monoid's
 // reduce operation is associative.
@@ -35,7 +29,6 @@
 #include "spa/slot_alloc.hpp"
 #include "tlmm/region.hpp"
 #include "util/timing.hpp"
-#include "views/flat_registry.hpp"
 #include "views/view_store.hpp"
 
 namespace cilkm {
@@ -55,7 +48,6 @@ concept MonoidFor = requires(M m, typename M::value_type& a,
 
 struct mm_policy {};
 struct hypermap_policy {};
-struct flat_policy {};
 
 /// Display/series names for the policies, used by benches and reports.
 template <typename Policy>
@@ -68,10 +60,6 @@ template <>
 struct policy_traits<hypermap_policy> {
   static constexpr const char* name = "hypermap";
 };
-template <>
-struct policy_traits<flat_policy> {
-  static constexpr const char* name = "flat";
-};
 
 template <MonoidFor M, typename Policy = mm_policy>
 class reducer {
@@ -80,11 +68,10 @@ class reducer {
   using monoid_type = M;
   using policy_type = Policy;
   static constexpr bool is_memory_mapped = std::is_same_v<Policy, mm_policy>;
-  static constexpr bool is_flat = std::is_same_v<Policy, flat_policy>;
   static constexpr bool is_hypermap =
       std::is_same_v<Policy, hypermap_policy>;
-  static_assert(is_memory_mapped || is_flat || is_hypermap,
-                "Policy must be mm_policy, hypermap_policy, or flat_policy");
+  static_assert(is_memory_mapped || is_hypermap,
+                "Policy must be mm_policy or hypermap_policy");
 
   reducer() : reducer(M{}) {}
 
@@ -108,8 +95,6 @@ class reducer {
       void* view = nullptr;
       if constexpr (is_memory_mapped) {
         view = w->views().spa().extract(tlmm_addr_);
-      } else if constexpr (is_flat) {
-        view = w->views().flat().extract(flat_id_);
       } else {
         view = w->views().hypermap().extract(this);
       }
@@ -119,8 +104,6 @@ class reducer {
       rt::Worker* w = rt::Worker::current();
       spa::SlotAllocator::instance().free(
           tlmm_addr_, w ? &w->views().spa().slot_cache() : nullptr);
-    } else if constexpr (is_flat) {
-      views::FlatIdAllocator::instance().free(flat_id_);
     }
   }
 
@@ -139,15 +122,6 @@ class reducer {
           return *static_cast<value_type*>(slot->view);
         }
         return *miss_mm();
-      }
-      return leftmost_;
-    } else if constexpr (is_flat) {
-      rt::Worker* w = rt::Worker::current();
-      if (w != nullptr) [[likely]] {
-        if (void* v = w->views().flat().lookup(flat_id_)) [[likely]] {
-          return *static_cast<value_type*>(v);
-        }
-        return *miss_flat(w);
       }
       return leftmost_;
     } else {
@@ -189,9 +163,6 @@ class reducer {
   /// The reducer's slot offset in the emulated TLMM region (mm policy).
   std::uint64_t tlmm_addr() const noexcept { return tlmm_addr_; }
 
-  /// The reducer's dense id in the flat view store (flat policy).
-  std::uint32_t flat_id() const noexcept { return flat_id_; }
-
  private:
   void init() {
     ops_.create_identity = &s_create_identity;
@@ -203,8 +174,6 @@ class reducer {
       rt::Worker* w = rt::Worker::current();
       tlmm_addr_ = spa::SlotAllocator::instance().allocate(
           w ? &w->views().spa().slot_cache() : nullptr);
-    } else if constexpr (is_flat) {
-      flat_id_ = views::FlatIdAllocator::instance().allocate();
     }
   }
 
@@ -231,12 +200,6 @@ class reducer {
     CILKM_CHECK(w != nullptr, "TLMM region set but no current worker");
     value_type* view = make_identity(w);
     w->views().spa().install(tlmm_addr_, view, &ops_);
-    return view;
-  }
-
-  value_type* miss_flat(rt::Worker* w) {
-    value_type* view = make_identity(w);
-    w->views().flat().install(flat_id_, view, &ops_);
     return view;
   }
 
@@ -274,7 +237,6 @@ class reducer {
   M monoid_;
   value_type leftmost_;
   std::uint64_t tlmm_addr_ = 0;  // mm policy key
-  std::uint32_t flat_id_ = 0;    // flat policy key
   ViewOps ops_{};
 };
 

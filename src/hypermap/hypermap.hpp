@@ -67,24 +67,6 @@ class HyperMap {
     ++size_;
   }
 
-  /// Insert a view for `key`, or overwrite an existing entry in place.
-  /// Returns the replaced view (the caller owns destroying it), or nullptr
-  /// if the key was absent. A replacement changes neither size() nor
-  /// capacity().
-  void* insert_or_assign(const void* key, void* view, const ViewOps* ops) {
-    if (capacity_ != 0) {
-      Entry& e = table_[probe(key)];
-      if (e.key == key) {
-        void* old = e.view;
-        e.view = view;
-        e.ops = ops;
-        return old;
-      }
-    }
-    insert(key, view, ops);
-    return nullptr;
-  }
-
   /// Remove the entry for `key` (reducer destruction mid-scope). Uses
   /// backward-shift deletion to keep probe chains intact.
   void erase(const void* key) noexcept {

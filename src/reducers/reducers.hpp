@@ -1,8 +1,8 @@
 // Convenience reducer aliases in the style of the Cilk Plus reducer library
 // headers (reducer_opadd.h etc.). The Policy parameter selects the runtime
-// view store: mm_policy (memory-mapped, the paper's contribution, default),
-// hypermap_policy (the Cilk Plus baseline), or flat_policy (a dense-id
-// array slated for removal) — see views/view_store.hpp for the contract.
+// view store: mm_policy (memory-mapped, the paper's contribution, default)
+// or hypermap_policy (the Cilk Plus baseline) — see views/view_store.hpp for
+// the contract.
 #pragma once
 
 #include "core/reducer.hpp"

@@ -22,8 +22,8 @@
 namespace cilkm::rt {
 
 /// A deposited set of local views, one component per view store (SPA maps,
-/// hypermap, flat array). Defined by the views layer; re-exported here
-/// because the runtime embeds two deposit placeholders in every join record.
+/// hypermap). Defined by the views layer; re-exported here because the
+/// runtime embeds two deposit placeholders in every join record.
 using ViewSetDeposit = views::ViewSetDeposit;
 
 /// The join record of a promoted frame. Whichever side of the join needs it

@@ -78,9 +78,4 @@ std::size_t SlotAllocator::live_slots() {
   return live_;
 }
 
-std::uint32_t SlotAllocator::page_watermark() {
-  std::lock_guard lock(mutex_);
-  return bump_index_ == 0 ? bump_page_ : bump_page_ + 1;
-}
-
 }  // namespace cilkm::spa

@@ -44,9 +44,6 @@ class SlotAllocator {
   /// Number of offsets currently handed out (live reducers); test hook.
   std::size_t live_slots();
 
-  /// One past the highest page index ever used; bounds region scans.
-  std::uint32_t page_watermark();
-
  private:
   std::uint64_t allocate_global_locked();
 

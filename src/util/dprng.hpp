@@ -76,11 +76,6 @@ class Dprng {
         (static_cast<unsigned __int128>(next()) * bound) >> 64);
   }
 
-  /// Uniform double in [0, 1), drawn via next().
-  double next01() noexcept {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  }
-
   /// The pure pedigree hash, no rank bump. Exposed for the pedigree
   /// invariant tests (test_pedigree.cpp), which compare hash streams across
   /// schedules without perturbing them.

@@ -174,89 +174,11 @@ void HyperMapViewStore::collapse_into_leftmosts() {
 }
 
 // ---------------------------------------------------------------------------
-// FlatViewStore
-// ---------------------------------------------------------------------------
-
-void FlatViewStore::install(std::uint32_t id, void* view, const ViewOps* ops) {
-  ScopedTimerNs timer((*stats_)[StatCounter::kViewInsertNs]);
-  if (id >= slots_.size()) {
-    slots_.resize(static_cast<std::size_t>(id) + 1,
-                  spa::ViewSlot{nullptr, nullptr});
-  }
-  spa::ViewSlot& slot = slots_[id];
-  CILKM_DCHECK(slot.empty(), "installing over a live flat view");
-  slot.view = view;
-  slot.ops = ops;
-  touched_.push_back(id);
-}
-
-void* FlatViewStore::extract(std::uint32_t id) {
-  if (id >= slots_.size() || slots_[id].empty()) return nullptr;
-  void* view = slots_[id].view;
-  slots_[id] = spa::ViewSlot{nullptr, nullptr};
-  // The id stays in touched_; a stale entry is skipped as a null pair.
-  return view;
-}
-
-bool FlatViewStore::empty() const noexcept {
-  for (const std::uint32_t id : touched_) {
-    if (!slots_[id].empty()) return false;
-  }
-  return true;
-}
-
-void FlatViewStore::deposit(std::vector<FlatDepositEntry>* out) {
-  ScopedTimerNs timer((*stats_)[StatCounter::kViewTransferNs]);
-  for (const std::uint32_t id : touched_) {
-    spa::ViewSlot& slot = slots_[id];
-    if (slot.empty()) continue;  // extracted, or a duplicate touched entry
-    out->push_back({id, slot});
-    slot = spa::ViewSlot{nullptr, nullptr};
-    ++(*stats_)[StatCounter::kViewsTransferred];
-  }
-  touched_.clear();
-}
-
-void FlatViewStore::install_deposit(std::vector<FlatDepositEntry>* in) {
-  for (FlatDepositEntry& e : *in) {
-    install(e.id, e.slot.view, e.slot.ops);
-  }
-  in->clear();
-}
-
-void FlatViewStore::merge(std::vector<FlatDepositEntry>* in,
-                          bool deposit_is_left) {
-  for (FlatDepositEntry& e : *in) {
-    spa::ViewSlot* mine =
-        e.id < slots_.size() && !slots_[e.id].empty() ? &slots_[e.id] : nullptr;
-    if (mine == nullptr) {
-      install(e.id, e.slot.view, e.slot.ops);
-    } else if (deposit_is_left) {
-      e.slot.ops->reduce(e.slot.ops->reducer, e.slot.view, mine->view);
-      mine->view = e.slot.view;
-    } else {
-      mine->ops->reduce(mine->ops->reducer, mine->view, e.slot.view);
-    }
-  }
-  in->clear();
-}
-
-void FlatViewStore::collapse_into_leftmosts() {
-  for (const std::uint32_t id : touched_) {
-    spa::ViewSlot& slot = slots_[id];
-    if (slot.empty()) continue;
-    slot.ops->collapse(slot.ops->reducer, slot.view);
-    slot = spa::ViewSlot{nullptr, nullptr};
-  }
-  touched_.clear();
-}
-
-// ---------------------------------------------------------------------------
 // ViewStoreSet — the view-transferal / hypermerge engine
 // ---------------------------------------------------------------------------
 
 bool ViewStoreSet::empty() const noexcept {
-  return spa_.empty() && hypermap_.empty() && flat_.empty();
+  return spa_.empty() && hypermap_.empty();
 }
 
 void ViewStoreSet::deposit_ambient(ViewSetDeposit* out) {
@@ -264,14 +186,12 @@ void ViewStoreSet::deposit_ambient(ViewSetDeposit* out) {
   spa_.deposit(&out->spa);
   // Hypermap transferal is a pointer switch, as in Cilk Plus.
   hypermap_.deposit(&out->hmap);
-  flat_.deposit(&out->flat);
 }
 
 void ViewStoreSet::install_deposit(ViewSetDeposit* in) {
   CILKM_DCHECK(empty(), "install_deposit requires an empty ambient");
   spa_.install_deposit(&in->spa);
   hypermap_.install_deposit(&in->hmap);
-  flat_.install_deposit(&in->flat);
 }
 
 void ViewStoreSet::merge(ViewSetDeposit* in, bool deposit_is_left) {
@@ -279,13 +199,11 @@ void ViewStoreSet::merge(ViewSetDeposit* in, bool deposit_is_left) {
   ++(*stats_)[StatCounter::kHypermerges];
   spa_.merge(&in->spa, deposit_is_left);
   hypermap_.merge(std::move(in->hmap), deposit_is_left);
-  flat_.merge(&in->flat, deposit_is_left);
 }
 
 void ViewStoreSet::collapse_into_leftmosts() {
   spa_.collapse_into_leftmosts();
   hypermap_.collapse_into_leftmosts();
-  flat_.collapse_into_leftmosts();
 }
 
 }  // namespace cilkm::views

@@ -18,18 +18,13 @@
 //   collapse fold every remaining view into its reducer's leftmost view
 //            (quiescence)
 //
-// Three stores implement the contract, selected per reducer by its Policy:
+// Two stores implement the contract, selected per reducer by its Policy:
 //
 //   SpaViewStore       mm_policy        the paper's contribution — SPA maps
 //                                       in an emulated-TLMM region
 //   HyperMapViewStore  hypermap_policy  the Cilk Plus baseline hash table
-//   FlatViewStore      flat_policy      a dense reducer-id-indexed array
-//                                       (no hashing, no mmap emulation);
-//                                       its lookup measures slower than
-//                                       mm's, no workload or bench runs
-//                                       it, and it is slated for removal
 //
-// A worker owns one ViewStoreSet holding all three, so every program can mix
+// A worker owns one ViewStoreSet holding both, so every program can mix
 // policies and the benchmarks compare them inside a single binary. The
 // scheduling code (Worker) only ever talks to ViewStoreSet; it no longer
 // knows how views are kept.
@@ -49,24 +44,14 @@
 
 namespace cilkm::views {
 
-/// One transferred flat-store view: the reducer's dense id plus the
-/// (view, ops) pair, the flat analogue of a public SPA-map entry.
-struct FlatDepositEntry {
-  std::uint32_t id;
-  spa::ViewSlot slot;
-};
-
-/// A deposited set of local views, one component per store. All three
+/// A deposited set of local views, one component per store. Both
 /// mechanisms coexist in one program, which is how the benchmarks compare
 /// them in a single binary.
 struct ViewSetDeposit {
   std::vector<spa::SpaDepositEntry> spa;
   hypermap::HyperMap hmap;
-  std::vector<FlatDepositEntry> flat;
 
-  bool empty() const noexcept {
-    return spa.empty() && hmap.empty() && flat.empty();
-  }
+  bool empty() const noexcept { return spa.empty() && hmap.empty(); }
 };
 
 // ---------------------------------------------------------------------------
@@ -177,50 +162,6 @@ class HyperMapViewStore {
 };
 
 // ---------------------------------------------------------------------------
-// FlatViewStore — dense-id array (flat_policy)
-// ---------------------------------------------------------------------------
-
-/// A worker-indexed flat view array: reducer id → (view, ops), no hashing,
-/// no mmap emulation. Lookup is a bounds check and an array load, but
-/// reaching the array costs Worker::current() and a std::vector, so it is
-/// no upper bound: mm's lookup measures faster.
-class FlatViewStore {
- public:
-  explicit FlatViewStore(WorkerStats* stats) : stats_(stats) {}
-
-  FlatViewStore(const FlatViewStore&) = delete;
-  FlatViewStore& operator=(const FlatViewStore&) = delete;
-
-  /// The hot lookup path. Returns the view, or nullptr on a miss.
-  void* lookup(std::uint32_t id) const noexcept {
-    return id < slots_.size() ? slots_[id].view : nullptr;
-  }
-
-  void install(std::uint32_t id, void* view, const ViewOps* ops);
-
-  /// Remove and return the view for `id`, or nullptr (reducer dtor).
-  void* extract(std::uint32_t id);
-
-  bool empty() const noexcept;
-
-  /// How many ids the store has slots for; test hook.
-  std::size_t capacity() const noexcept { return slots_.size(); }
-
-  void deposit(std::vector<FlatDepositEntry>* out);
-  void install_deposit(std::vector<FlatDepositEntry>* in);
-  void merge(std::vector<FlatDepositEntry>* in, bool deposit_is_left);
-  void collapse_into_leftmosts();
-
- private:
-  std::vector<spa::ViewSlot> slots_;
-  // Ids installed since the last transferal, so deposit/collapse never scan
-  // the whole array. Stale entries (extracted ids) are skipped because their
-  // slot is a null pair — same convention as the SPA touched-page log.
-  std::vector<std::uint32_t> touched_;
-  WorkerStats* stats_;
-};
-
-// ---------------------------------------------------------------------------
 // ViewStoreSet — what a Worker owns
 // ---------------------------------------------------------------------------
 
@@ -231,11 +172,10 @@ class FlatViewStore {
 class ViewStoreSet {
  public:
   explicit ViewStoreSet(WorkerStats* stats)
-      : spa_(stats), hypermap_(stats), flat_(stats), stats_(stats) {}
+      : spa_(stats), hypermap_(stats), stats_(stats) {}
 
   SpaViewStore& spa() noexcept { return spa_; }
   HyperMapViewStore& hypermap() noexcept { return hypermap_; }
-  FlatViewStore& flat() noexcept { return flat_; }
 
   /// True iff no store holds any live view.
   bool empty() const noexcept;
@@ -257,7 +197,6 @@ class ViewStoreSet {
  private:
   SpaViewStore spa_;
   HyperMapViewStore hypermap_;
-  FlatViewStore flat_;
   WorkerStats* stats_;
 };
 

@@ -25,7 +25,6 @@
 #include "runtime/frame.hpp"
 #include "runtime/pedigree.hpp"
 #include "util/dprng.hpp"
-#include "views/flat_registry.hpp"
 
 namespace {
 
@@ -224,7 +223,7 @@ TEST(ChaosDegradation, FiberFaultsFallBackToTheSchedulerStack) {
     expect_degraded_strands_match_serial(sched);
   }
   // Clean run afterwards on the same pool.
-  cilkm::reducer<cilkm::op_add<std::uint64_t>, cilkm::flat_policy> red;
+  cilkm::reducer<cilkm::op_add<std::uint64_t>, cilkm::hypermap_policy> red;
   sched.run([&] { count_tree(red, 10); });
   EXPECT_EQ(red.get_value(), 1024u);
 }
@@ -263,34 +262,6 @@ TEST(ChaosDegradation, InjectedAllocOomPropagatesAsBadAlloc) {
   cilkm::reducer<cilkm::op_add<std::uint64_t>, cilkm::mm_policy> red;
   sched.run([&] { count_tree(red, 8); });
   EXPECT_EQ(red.get_value(), 256u);
-}
-
-// ------------------------------------------------ flat-id exhaustion
-
-TEST(FlatRegistryGraceful, IdExhaustionThrowsAndRecovers) {
-  auto& allocator = cilkm::views::FlatIdAllocator::instance();
-  const std::size_t live_before = allocator.live();
-  std::vector<std::uint32_t> ids;
-  ids.reserve(cilkm::views::kMaxFlatIds);
-  // Exhaust the id space. Some ids may already be live elsewhere in this
-  // process; allocate until the ceiling answers.
-  try {
-    for (std::uint64_t i = 0; i <= cilkm::views::kMaxFlatIds; ++i) {
-      ids.push_back(allocator.allocate());
-    }
-    FAIL() << "id space never reported exhaustion";
-  } catch (const std::bad_alloc&) {
-  }
-  // The failed allocation changed nothing: still exhausted, still throwing,
-  // and live() reflects exactly the successful allocations.
-  EXPECT_THROW(allocator.allocate(), std::bad_alloc);
-  EXPECT_EQ(allocator.live(), live_before + ids.size());
-  for (const std::uint32_t id : ids) allocator.free(id);
-  EXPECT_EQ(allocator.live(), live_before);
-  // Freed ids recycle normally after the exhaustion episode.
-  const std::uint32_t id = allocator.allocate();
-  EXPECT_LT(id, cilkm::views::kMaxFlatIds);
-  allocator.free(id);
 }
 
 // ---------------------------------------------- deterministic fault sets
@@ -409,12 +380,6 @@ TEST(ChaosExceptionStress, DeepThrowsUnderForcedStealsMm) {
 TEST(ChaosExceptionStress, DeepThrowsUnderForcedStealsHypermap) {
   for (const unsigned p : {2u, 4u}) {
     exception_stress<cilkm::hypermap_policy>(p, /*steal_batch=*/0);
-  }
-}
-
-TEST(ChaosExceptionStress, DeepThrowsUnderForcedStealsFlat) {
-  for (const unsigned p : {2u, 4u}) {
-    exception_stress<cilkm::flat_policy>(p, /*steal_batch=*/1);
   }
 }
 

@@ -1,12 +1,11 @@
 // Death tests for the hard aborts that remain AFTER the graceful-degradation
 // paths: the run watchdog (a stalled epoch dumps diagnostics and aborts
 // instead of hanging) and the assert-context hook (aborts carry the worker
-// id and the failing strand's pedigree). The former abort sites for deque
-// overflow and flat-id exhaustion are gone — those now degrade (see
-// test_chaos.cpp). The HyperMap duplicate-insert death test lives with the
-// other hypermap tests (test_hypermap.cpp). Each EXPECT_DEATH body runs in
-// a forked child, so aborting a process-wide singleton there leaves this
-// process untouched.
+// id and the failing strand's pedigree). Deque overflow degrades instead of
+// aborting (see test_chaos.cpp). The HyperMap duplicate-insert death test
+// lives with the other hypermap tests (test_hypermap.cpp). Each EXPECT_DEATH
+// body runs in a forked child, so aborting a process-wide singleton there
+// leaves this process untouched.
 #include <gtest/gtest.h>
 
 #include <chrono>

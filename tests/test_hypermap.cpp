@@ -135,19 +135,6 @@ TEST(HyperMapDeathTest, DuplicateInsertIsRejectedInAllBuildModes) {
                "duplicate hypermap insertion");
 }
 
-TEST(HyperMap, InsertOrAssignReplacesInPlace) {
-  HyperMap map;
-  int v1 = 1, v2 = 2;
-  EXPECT_EQ(map.insert_or_assign(key(1), &v1, nullptr), nullptr);
-  EXPECT_EQ(map.size(), 1u);
-  // Replacement returns the old view (caller owns it) and keeps size_.
-  void* old = map.insert_or_assign(key(1), &v2, nullptr);
-  EXPECT_EQ(old, &v1);
-  EXPECT_EQ(map.size(), 1u);
-  ASSERT_NE(map.lookup(key(1)), nullptr);
-  EXPECT_EQ(map.lookup(key(1))->view, &v2);
-}
-
 TEST(HyperMap, EraseRepairsWrappedProbeChain) {
   // Build a probe chain that wraps around the end of the table: pick keys
   // whose home slot is the LAST slot of the initial capacity-16 table, so

@@ -4,7 +4,7 @@
 // canned sysfs topologies, the consumers rewired through it (JoinFrame,
 // HyperMap tables, fiber headers), the StackPool's per-node trim — and a
 // DPRNG-driven property test that random view merge/collapse orders keep
-// the allocator's books balanced under all three view-store policies.
+// the allocator's books balanced under both view-store policies.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -498,7 +498,6 @@ TEST_P(MergeOrderProperty, AllPoliciesKeepViewLedgerBalanced) {
   for (const unsigned workers : {2u, 4u}) {
     run_merge_fuzz<cilkm::mm_policy>(shape, workers);
     run_merge_fuzz<cilkm::hypermap_policy>(shape, workers);
-    run_merge_fuzz<cilkm::flat_policy>(shape, workers);
   }
 }
 

@@ -15,8 +15,7 @@ using cilkm::parallel_for;
 
 template <typename Policy>
 struct ExtrasMechanism : ::testing::Test {};
-using Policies = ::testing::Types<cilkm::mm_policy, cilkm::hypermap_policy,
-                                  cilkm::flat_policy>;
+using Policies = ::testing::Types<cilkm::mm_policy, cilkm::hypermap_policy>;
 TYPED_TEST_SUITE(ExtrasMechanism, Policies);
 
 std::uint64_t keyed(std::int64_t i) {

@@ -130,11 +130,6 @@ TEST_P(RandomDagProperty, HypermapMatchesSerialOracle) {
   run_property<cilkm::hypermap_policy>(GetParam());
 }
 
-TEST_P(RandomDagProperty, FlatMatchesSerialOracle) {
-  SCOPED_TRACE(cilkm::test::seed_trace());
-  run_property<cilkm::flat_policy>(GetParam());
-}
-
 // Tree seeds are drawn from the CILKM_TEST_SEED stream (fixed default, env
 // overridable), so a failure is replayable from the printed base seed.
 std::vector<Params> make_params() {

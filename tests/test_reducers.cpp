@@ -1,5 +1,5 @@
-// Reducer semantics tests, run against ALL view-store policies
-// (memory-mapped, hypermap, flat) via typed tests: serial equivalence,
+// Reducer semantics tests, run against BOTH view-store policies
+// (memory-mapped, hypermap) via typed tests: serial equivalence,
 // identity/merge behaviour, non-commutative determinism, lifetime, and
 // multi-reducer interactions. This is the shared policy-parameterised suite
 // every ViewStore implementation must pass.
@@ -24,8 +24,7 @@ template <typename Policy>
 struct ReducerMechanism : ::testing::Test {
   using policy = Policy;
 };
-using Policies = ::testing::Types<cilkm::mm_policy, cilkm::hypermap_policy,
-                                  cilkm::flat_policy>;
+using Policies = ::testing::Types<cilkm::mm_policy, cilkm::hypermap_policy>;
 TYPED_TEST_SUITE(ReducerMechanism, Policies);
 
 TYPED_TEST(ReducerMechanism, SumOutsideSchedulerIsSerial) {
@@ -248,35 +247,19 @@ TYPED_TEST(ReducerMechanism, HighStealRateJoinDepositRace) {
   }
 }
 
-// Mixing all mechanisms in one computation must work (the benchmarks rely
+// Mixing both mechanisms in one computation must work (the benchmarks rely
 // on it).
 TEST(MixedMechanisms, AllPoliciesCoexist) {
   cilkm::reducer_opadd<long, cilkm::mm_policy> a;
   cilkm::reducer_opadd<long, cilkm::hypermap_policy> b;
-  cilkm::reducer_opadd<long, cilkm::flat_policy> c;
   cilkm::run(4, [&] {
     parallel_for(0, 10000, 16, [&](std::int64_t) {
       *a += 1;
       *b += 2;
-      *c += 3;
     });
   });
   EXPECT_EQ(a.get_value(), 10000);
   EXPECT_EQ(b.get_value(), 20000);
-  EXPECT_EQ(c.get_value(), 30000);
-}
-
-TEST(FlatReducer, FlatIdIsDenseAndRecycled) {
-  cilkm::reducer_opadd<int, cilkm::flat_policy> r1;
-  cilkm::reducer_opadd<int, cilkm::flat_policy> r2;
-  EXPECT_NE(r1.flat_id(), r2.flat_id());
-  std::uint32_t recycled;
-  {
-    cilkm::reducer_opadd<int, cilkm::flat_policy> r3;
-    recycled = r3.flat_id();
-  }
-  cilkm::reducer_opadd<int, cilkm::flat_policy> r4;
-  EXPECT_EQ(r4.flat_id(), recycled);  // LIFO reuse keeps the id space dense
 }
 
 TEST(MmReducer, TlmmAddrIsStableAndSlotShaped) {

@@ -289,4 +289,43 @@ TEST_F(ViewMergeTest, ManyPagesTransferal) {
   EXPECT_TRUE(w(1).views().empty());
 }
 
+// One deposit carries both mechanisms at once.
+
+TEST_F(ViewMergeTest, DepositCarriesBothStores) {
+  FakeReducer r_spa, r_hmap;
+  install(w(0), r_spa, spa::offset(0, 11), "s");
+  w(0).views().hypermap().install(&r_hmap, new StrView{"h"}, &r_hmap.ops);
+  EXPECT_FALSE(w(0).views().empty());
+
+  ViewSetDeposit dep;
+  w(0).views().deposit_ambient(&dep);
+  EXPECT_TRUE(w(0).views().empty());
+  EXPECT_EQ(dep.spa.size(), 1u);
+  EXPECT_EQ(dep.hmap.size(), 1u);
+
+  w(1).views().install_deposit(&dep);
+  EXPECT_TRUE(dep.empty());
+  w(1).views().collapse_into_leftmosts();
+  EXPECT_EQ(r_spa.collapsed, "s");
+  EXPECT_EQ(r_hmap.collapsed, "h");
+}
+
+TEST_F(ViewMergeTest, MergeLeftOrdersBothStores) {
+  FakeReducer r_spa, r_hmap;
+  const auto off = spa::offset(2, 20);
+
+  install(w(0), r_spa, off, "S1");
+  w(0).views().hypermap().install(&r_hmap, new StrView{"H1"}, &r_hmap.ops);
+  ViewSetDeposit dep;
+  w(0).views().deposit_ambient(&dep);
+
+  install(w(1), r_spa, off, "S2");
+  w(1).views().hypermap().install(&r_hmap, new StrView{"H2"}, &r_hmap.ops);
+  w(1).views().merge(&dep, /*deposit_is_left=*/true);
+  w(1).views().collapse_into_leftmosts();
+
+  EXPECT_EQ(r_spa.collapsed, "S1S2");
+  EXPECT_EQ(r_hmap.collapsed, "H1H2");
+}
+
 }  // namespace
