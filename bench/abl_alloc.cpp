@@ -1,5 +1,5 @@
 // Ablation: the tagged internal allocator against raw operator new on a
-// fig08-style view-creation load — view-sized blocks churned through a
+// Figure 8-style view-creation load — view-sized blocks churned through a
 // small live window (view creation is the dominant reduce overhead the
 // paper's Figure 8 breaks down), plus a cross-thread handoff phase (the
 // hypermerge frees the right-hand views wherever the join happens to land,
@@ -11,7 +11,7 @@
 //   malloc/pin     — operator new/delete, threads pinned
 //   malloc/nopin   — operator new/delete, OS placement
 //
-// x is the thread count (1 and --workers). Pooled rows also report the
+// T is the thread count (1 and --workers). Pooled rows also report the
 // magazine refill/flush traffic so the batch-exchange rate is visible.
 //
 //   ./abl_alloc [--reps R] [--workers P] [--iters N]
@@ -90,11 +90,10 @@ void thread_body(const Mode& mode, unsigned tid, unsigned threads, long iters,
   for (void* p : handoff[(tid + 1) % threads]) dealloc(p);
 }
 
-void run_mode(const Mode& mode, unsigned threads, int reps, long iters,
-              bench::JsonReport& report) {
+void run_mode(const Mode& mode, unsigned threads, int reps, long iters) {
   const auto before = cilkm::mem::InternalAlloc::instance().tag_stats(
       cilkm::mem::AllocTag::kViews);
-  const bench::RunStat stat = bench::repeat(reps, [&] {
+  const cilkm::RunStat stat = bench::repeat(reps, [&] {
     std::vector<std::vector<void*>> handoff(threads);
     std::atomic<unsigned> phase_barrier{0};
     std::vector<std::thread> pool;
@@ -118,12 +117,6 @@ void run_mode(const Mode& mode, unsigned threads, int reps, long iters,
               stat.median_s, mops,
               static_cast<unsigned long long>(after.refills - before.refills),
               static_cast<unsigned long long>(after.flushes - before.flushes));
-  report.add(std::string(mode.series), static_cast<double>(threads),
-             {{"median_s", stat.median_s},
-              {"stddev_s", stat.stddev_s},
-              {"mops", mops},
-              {"refills", static_cast<double>(after.refills - before.refills)},
-              {"flushes", static_cast<double>(after.flushes - before.flushes)}});
 }
 
 }  // namespace
@@ -133,6 +126,7 @@ int main(int argc, char** argv) {
   const auto workers =
       static_cast<unsigned>(bench::flag_int(argc, argv, "--workers", 4));
   const long iters = bench::flag_int(argc, argv, "--iters", 200000);
+  bench::reject_unknown_flags(argc, argv);
 
   const cilkm::topo::Topology& topo = cilkm::topo::Topology::machine();
   std::printf("# Ablation: pooled (tagged magazines) vs malloc view churn\n");
@@ -140,12 +134,6 @@ int main(int argc, char** argv) {
               cilkm::mem::InternalAlloc::instance().num_shards());
   std::printf("%-14s %4s %12s %10s %10s %10s\n", "series", "T", "median_s",
               "Mops/s", "refills", "flushes");
-
-  bench::JsonReport report("abl_alloc");
-  report.add("machine:" + topo.describe(), static_cast<double>(topo.num_cpus()),
-             {{"nodes", static_cast<double>(topo.num_nodes())},
-              {"shards", static_cast<double>(
-                   cilkm::mem::InternalAlloc::instance().num_shards())}});
 
   const Mode modes[] = {
       {"pooled/pin", true, true},
@@ -157,7 +145,7 @@ int main(int argc, char** argv) {
   if (workers > 1) thread_counts.push_back(workers);
   for (const unsigned threads : thread_counts) {
     for (const Mode& mode : modes) {
-      run_mode(mode, threads, reps, iters, report);
+      run_mode(mode, threads, reps, iters);
     }
   }
   return 0;

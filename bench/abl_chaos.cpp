@@ -1,15 +1,15 @@
 // Ablation: chaos fail-point overhead on a spawn-dense fork tree. The
 // chaos layer's contract is that disarmed sites cost one relaxed load +
-// branch on the hot path (the same bar the tracer's enabled() gate meets),
-// so the bench-smoke diff can hold chaos/off at ratio ~1.0 of the pre-chaos
-// baseline across PRs. Series:
+// branch on the hot path (the same bar the tracer's enabled() gate meets).
+// The chaos/off row is that cost in a spawn-bound run (compare it across
+// commits on one host), and each armed row prints its on/off ratio. Series:
 //
 //   chaos/off      — disarmed (the default; every consult is one load)
 //   chaos/armed-p0 — armed with p=0: consults hash pedigrees but never fire
 //   chaos/inject   — armed with a small p on the push+fiber fault sites:
 //                    the runtime absorbs real degradations mid-run
 //
-// x is the worker count (1 and --workers). The workload is a binary fork
+// P is the worker count (1 and --workers). The workload is a binary fork
 // tree of --depth levels with trivial leaves: virtually all time is spent
 // in fork2join itself, the worst case for per-spawn fail points.
 //
@@ -42,7 +42,7 @@ std::uint64_t fork_tree(unsigned depth) {
 }
 
 double run_mode(const Mode& mode, cilkm::Scheduler& sched, unsigned workers,
-                int reps, unsigned depth, bench::JsonReport& report) {
+                int reps, unsigned depth) {
   if (mode.armed) {
     cilkm::chaos::Config cfg;
     cfg.p = mode.p;
@@ -57,7 +57,7 @@ double run_mode(const Mode& mode, cilkm::Scheduler& sched, unsigned workers,
   }
 
   volatile std::uint64_t sink = 0;
-  const bench::RunStat stat = bench::repeat(sched, reps, [&] {
+  const cilkm::RunStat stat = bench::repeat(sched, reps, [&] {
     sink = fork_tree(depth);
   });
   // Injected push/fiber faults degrade to serial execution — the tree's
@@ -73,11 +73,6 @@ double run_mode(const Mode& mode, cilkm::Scheduler& sched, unsigned workers,
   std::printf("%-18s %4u %12.6f %12.6f %10llu\n", mode.series, workers,
               stat.median_s, stat.stddev_s,
               static_cast<unsigned long long>(push.injected + fiber.injected));
-  report.add(std::string(mode.series), static_cast<double>(workers),
-             {{"median_s", stat.median_s},
-              {"stddev_s", stat.stddev_s},
-              {"injected",
-               static_cast<double>(push.injected + fiber.injected)}});
   return stat.median_s;
 }
 
@@ -89,6 +84,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned>(bench::flag_int(argc, argv, "--workers", 4));
   const auto depth =
       static_cast<unsigned>(bench::flag_int(argc, argv, "--depth", 16));
+  bench::reject_unknown_flags(argc, argv);
 
   const cilkm::topo::Topology& topo = cilkm::topo::Topology::machine();
   std::printf("# Ablation: chaos fail-point overhead on a 2^%u-leaf fork tree\n",
@@ -96,10 +92,6 @@ int main(int argc, char** argv) {
   std::printf("# machine: %s\n", topo.describe().c_str());
   std::printf("%-18s %4s %12s %12s %10s\n", "series", "P", "median_s",
               "stddev_s", "injected");
-
-  bench::JsonReport report("abl_chaos");
-  report.add("machine:" + topo.describe(), static_cast<double>(topo.num_cpus()),
-             {{"depth", static_cast<double>(depth)}});
 
   using cilkm::chaos::Site;
   using cilkm::chaos::site_bit;
@@ -115,7 +107,7 @@ int main(int argc, char** argv) {
     cilkm::Scheduler sched(p);
     double off_s = 0;
     for (const Mode& mode : modes) {
-      const double s = run_mode(mode, sched, p, reps, depth, report);
+      const double s = run_mode(mode, sched, p, reps, depth);
       if (!mode.armed) off_s = s;
       else if (off_s > 0) {
         std::printf("#   %-18s on/off ratio: %.3f\n", mode.series, s / off_s);

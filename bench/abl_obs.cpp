@@ -1,13 +1,14 @@
 // Ablation: observability overhead on a spawn-dense fork tree. The whole
 // point of the obs layer is that it costs nothing when off — the fork2join
 // hot path pays one relaxed load per spawn — so this bench pins that claim
-// to a number the bench-smoke diff can hold across PRs. Series:
+// to a number: the obs/off row, against which each enabled row prints its
+// on/off ratio. Series:
 //
 //   obs/off            — tracer and profiler both disabled (the default)
 //   obs/trace          — Tracer enabled (ring writes on steals/parks/merges)
 //   obs/trace+profile  — Tracer and the work/span profiler enabled
 //
-// x is the worker count (1 and --workers). The workload is a binary fork
+// P is the worker count (1 and --workers). The workload is a binary fork
 // tree of --depth levels with trivial leaves: virtually all time is spent
 // in fork2join itself, the worst case for per-spawn instrumentation.
 //
@@ -40,7 +41,7 @@ std::uint64_t fork_tree(unsigned depth) {
 }
 
 double run_mode(const Mode& mode, cilkm::Scheduler& sched, unsigned workers,
-                int reps, unsigned depth, bench::JsonReport& report) {
+                int reps, unsigned depth) {
   auto& tracer = cilkm::rt::Tracer::instance();
   auto& profiler = cilkm::obs::Profiler::instance();
   if (mode.trace) tracer.enable();
@@ -49,7 +50,7 @@ double run_mode(const Mode& mode, cilkm::Scheduler& sched, unsigned workers,
   profiler.reset();
 
   volatile std::uint64_t sink = 0;
-  const bench::RunStat stat = bench::repeat(sched, reps, [&] {
+  const cilkm::RunStat stat = bench::repeat(sched, reps, [&] {
     sink = fork_tree(depth);
   });
   if (sink != (1ull << depth)) std::abort();
@@ -59,8 +60,6 @@ double run_mode(const Mode& mode, cilkm::Scheduler& sched, unsigned workers,
 
   std::printf("%-18s %4u %12.6f %12.6f\n", mode.series, workers, stat.median_s,
               stat.stddev_s);
-  report.add(std::string(mode.series), static_cast<double>(workers),
-             {{"median_s", stat.median_s}, {"stddev_s", stat.stddev_s}});
   return stat.median_s;
 }
 
@@ -72,16 +71,13 @@ int main(int argc, char** argv) {
       static_cast<unsigned>(bench::flag_int(argc, argv, "--workers", 4));
   const auto depth =
       static_cast<unsigned>(bench::flag_int(argc, argv, "--depth", 16));
+  bench::reject_unknown_flags(argc, argv);
 
   const cilkm::topo::Topology& topo = cilkm::topo::Topology::machine();
   std::printf("# Ablation: observability overhead on a 2^%u-leaf fork tree\n",
               depth);
   std::printf("# machine: %s\n", topo.describe().c_str());
   std::printf("%-18s %4s %12s %12s\n", "series", "P", "median_s", "stddev_s");
-
-  bench::JsonReport report("abl_obs");
-  report.add("machine:" + topo.describe(), static_cast<double>(topo.num_cpus()),
-             {{"depth", static_cast<double>(depth)}});
 
   const Mode modes[] = {
       {"obs/off", false, false},
@@ -94,7 +90,7 @@ int main(int argc, char** argv) {
     cilkm::Scheduler sched(p);
     double off_s = 0;
     for (const Mode& mode : modes) {
-      const double s = run_mode(mode, sched, p, reps, depth, report);
+      const double s = run_mode(mode, sched, p, reps, depth);
       if (!mode.trace && !mode.profile) off_s = s;
       else if (off_s > 0) {
         std::printf("#   %-18s on/off ratio: %.3f\n", mode.series, s / off_s);

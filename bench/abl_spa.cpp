@@ -1,4 +1,4 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for three view-store design choices:
 //
 //  A. The SPA log-overflow rule (paper Section 6): once more than 120 views
 //     are inserted, the runtime stops logging and sequences the whole
@@ -42,7 +42,7 @@ double sweep_time(SpaPage& page, int reps, std::uint64_t* sink) {
   return static_cast<double>(t1 - t0) / reps;
 }
 
-void ablation_log_overflow(int reps, bench::JsonReport& report) {
+void ablation_log_overflow(int reps) {
   std::printf("# Ablation A: SPA sequencing, log-driven vs full-array walk "
               "(ns per sweep of one page)\n");
   std::printf("%-8s %14s %14s %10s\n", "views", "log-driven", "full-walk",
@@ -75,20 +75,13 @@ void ablation_log_overflow(int reps, bench::JsonReport& report) {
                 t_walk / t_log,
                 valid > kLogCapacity ? "   (log overflowed: both full walks)"
                                      : "");
-    // Past the log capacity both columns are full walks; flag it so
-    // cross-PR tracking doesn't chart walk timings as log-driven ones.
-    const double overflowed = valid > kLogCapacity ? 1.0 : 0.0;
-    report.add("seq:log", valid,
-               {{"ns_per_sweep", t_log}, {"log_overflowed", overflowed}});
-    report.add("seq:walk", valid,
-               {{"ns_per_sweep", t_walk}, {"log_overflowed", overflowed}});
   }
   if (sink == 0) std::abort();
   std::printf("# full walk costs ~flat 248 probes; the log wins below the "
               "120-entry cap, beyond it the walk is amortised (2:1 rule)\n\n");
 }
 
-void ablation_transferal(int reps, bench::JsonReport& report) {
+void ablation_transferal(int reps) {
   std::printf("# Ablation B: view transferal, copying strategy vs syscall "
               "floor of the mapping strategy (ns per page)\n");
   std::printf("%-8s %14s %18s\n", "views", "copy (ns)", "mmap+munmap (ns)");
@@ -126,14 +119,12 @@ void ablation_transferal(int reps, bench::JsonReport& report) {
     const double copy_ns = static_cast<double>(t1 - t0) / reps;
     const double map_ns = static_cast<double>(t3 - t2) / reps;
     std::printf("%-8u %14.1f %18.1f\n", valid, copy_ns, map_ns);
-    report.add("transferal:copy", valid, {{"ns_per_page", copy_ns}});
-    report.add("transferal:mmap", valid, {{"ns_per_page", map_ns}});
   }
   std::printf("# the paper picks copying: few reducers -> copying a handful "
               "of pointers beats kernel crossings\n\n");
 }
 
-void ablation_hypermap_growth(int reps, bench::JsonReport& report) {
+void ablation_hypermap_growth(int reps) {
   std::printf("# Ablation C: hypermap insertion cost including expansions "
               "(ns per insert, table grown from empty)\n");
   std::printf("%-8s %14s %12s\n", "inserts", "ns/insert", "final-cap");
@@ -150,9 +141,6 @@ void ablation_hypermap_growth(int reps, bench::JsonReport& report) {
       cap = map.capacity();
     }
     std::printf("%-8d %14.1f %12zu\n", n, total / reps, cap);
-    report.add("hypermap_growth", n,
-               {{"ns_per_insert", total / reps},
-                {"final_capacity", static_cast<double>(cap)}});
   }
   std::printf("# insertion cost includes rehash-on-expand: the overhead "
               "Figure 7 sees grow with n in Cilk Plus\n");
@@ -165,9 +153,9 @@ void benchmark_keep(void* p) { asm volatile("" : : "g"(p) : "memory"); }
 
 int main(int argc, char** argv) {
   const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 2000));
-  bench::JsonReport report("abl_spa");
-  ablation_log_overflow(reps, report);
-  ablation_transferal(reps / 10 + 1, report);
-  ablation_hypermap_growth(reps / 100 + 1, report);
+  bench::reject_unknown_flags(argc, argv);
+  ablation_log_overflow(reps);
+  ablation_transferal(reps / 10 + 1);
+  ablation_hypermap_growth(reps / 100 + 1);
   return 0;
 }

@@ -9,13 +9,12 @@
 //   <w>/sb1/wb4    — wake batching alone, for attribution
 //   <w>/sbhalf/wb4 — steal-half + batched wake-ups combined
 //
-// Each series reports the median wall time plus the counters that make the
+// Each series prints the median wall time plus the counters that make the
 // policy visible: genuine thefts, frames acquired (stolen_frames / steals
-// = mean batch size), and the per-proximity-tier steal-latency totals. The
-// console additionally prints the tier-0 latency histogram so fence
-// amortisation is visible without post-processing. The JSON keeps the
-// machine's describe() string so a cross-host comparison knows what it is
-// looking at (bench_diff.py skips comparison when the machine changed).
+// = mean batch size), and the tier-0 steal-latency histogram, so fence
+// amortisation is visible without post-processing. The header line names
+// the machine's describe() string, so a cross-host comparison knows what it
+// is looking at.
 //
 //   ./abl_steal [--reps R] [--workers P] [--scale S]
 #include <cstdio>
@@ -36,8 +35,7 @@ struct Config {
 };
 
 void run_config(const cilkm::workloads::Workload& workload, const Config& cfg,
-                unsigned workers, int reps, unsigned scale,
-                bench::JsonReport& report) {
+                unsigned workers, int reps, unsigned scale) {
   cilkm::rt::Scheduler sched(workers, cfg.options);
   sched.warm_up();
 
@@ -57,7 +55,7 @@ void run_config(const cilkm::workloads::Workload& workload, const Config& cfg,
     samples.push_back(result.seconds);
     verified = verified && result.verified;
   }
-  const bench::RunStat stat = bench::stats_of(std::move(samples));
+  const cilkm::RunStat stat = cilkm::stats_of(std::move(samples));
   const auto stats = sched.aggregate_stats();
   const auto steals = stats[cilkm::StatCounter::kSteals];
   const auto frames = stats[cilkm::StatCounter::kStolenFrames];
@@ -77,16 +75,6 @@ void run_config(const cilkm::workloads::Workload& workload, const Config& cfg,
   }
   std::printf("]\n");
 
-  report.add(series, static_cast<double>(workers),
-             {{"median_s", stat.median_s},
-              {"stddev_s", stat.stddev_s},
-              {"verified", verified ? 1.0 : 0.0},
-              {"steals", static_cast<double>(steals)},
-              {"stolen_frames", static_cast<double>(frames)},
-              {"frames_per_steal", frames_per_steal},
-              {"steal_ns_t0", static_cast<double>(stats.steal_lat_ns[0])},
-              {"steal_ns_t1", static_cast<double>(stats.steal_lat_ns[1])},
-              {"steal_ns_t2", static_cast<double>(stats.steal_lat_ns[2])}});
 }
 
 }  // namespace
@@ -97,6 +85,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned>(bench::flag_int(argc, argv, "--workers", 8));
   const auto scale =
       static_cast<unsigned>(bench::flag_int(argc, argv, "--scale", 1));
+  bench::reject_unknown_flags(argc, argv);
 
   const cilkm::topo::Topology& topo = cilkm::topo::Topology::machine();
   std::printf("# Ablation: steal-half batch size x wake batching\n");
@@ -105,11 +94,6 @@ int main(int argc, char** argv) {
   std::printf("%-20s %6s %12s %10s %12s %8s   %s\n", "series", "verify",
               "median_s", "steals", "stolen_frm", "frm/stl",
               "t0 latency histogram (128ns log2 buckets)");
-
-  bench::JsonReport report("abl_steal");
-  report.add("machine:" + topo.describe(), static_cast<double>(topo.num_cpus()),
-             {{"cores", static_cast<double>(topo.num_cores())},
-              {"packages", static_cast<double>(topo.num_packages())}});
 
   std::vector<Config> configs;
   {
@@ -148,7 +132,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (const Config& cfg : configs) {
-      run_config(*workload, cfg, workers, reps, scale, report);
+      run_config(*workload, cfg, workers, reps, scale);
     }
   }
   return 0;

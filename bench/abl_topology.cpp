@@ -11,13 +11,12 @@
 // that make the policy visible: genuine thefts, the local fraction (same
 // core or package), and batched wake-ups. On a single-package (or
 // container-flattened) host every steal is "local" and the locality rows
-// converge to uniform — the JSON keeps the machine's describe() string so
-// a cross-host comparison knows what it is looking at.
+// converge to uniform — the header line names the machine's describe()
+// string so a cross-host comparison knows what it is looking at.
 //
 //   ./abl_topology [--reps R] [--workers P]
 #include <cstdio>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "harness.hpp"
@@ -39,12 +38,12 @@ void spawn_tree(std::uint64_t items) {
 }
 
 void run_config(const Config& cfg, unsigned workers, int reps,
-                std::uint64_t items, bench::JsonReport& report) {
+                std::uint64_t items) {
   cilkm::Scheduler sched(workers, cfg.options);
   sched.warm_up();
   sched.run([&] { spawn_tree(items / 8); });  // warm the view stores
   sched.reset_stats();
-  const bench::RunStat stat =
+  const cilkm::RunStat stat =
       bench::repeat(sched, reps, [&] { spawn_tree(items); });
   const auto stats = sched.aggregate_stats();
   const auto steals = stats[cilkm::StatCounter::kSteals];
@@ -56,12 +55,6 @@ void run_config(const Config& cfg, unsigned workers, int reps,
   std::printf("%-18s %12.6f %10llu %10.3f %12llu\n", cfg.series, stat.median_s,
               static_cast<unsigned long long>(steals), local_frac,
               static_cast<unsigned long long>(batch_wakes));
-  report.add(cfg.series, static_cast<double>(workers),
-             {{"median_s", stat.median_s},
-              {"stddev_s", stat.stddev_s},
-              {"steals", static_cast<double>(steals)},
-              {"local_frac", local_frac},
-              {"batch_wakes", static_cast<double>(batch_wakes)}});
 }
 
 }  // namespace
@@ -70,6 +63,7 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 5));
   const auto workers = static_cast<unsigned>(
       bench::flag_int(argc, argv, "--workers", 8));
+  bench::reject_unknown_flags(argc, argv);
   const std::uint64_t items = 1 << 20;
 
   const cilkm::topo::Topology& topo = cilkm::topo::Topology::machine();
@@ -77,12 +71,6 @@ int main(int argc, char** argv) {
   std::printf("# machine: %s, P=%u\n", topo.describe().c_str(), workers);
   std::printf("%-18s %12s %10s %10s %12s\n", "series", "median_s", "steals",
               "local_frac", "batch_wakes");
-
-  bench::JsonReport report("abl_topology");
-  // machine row: num_cpus as x so the trajectory diff can spot host changes.
-  report.add("machine:" + topo.describe(), static_cast<double>(topo.num_cpus()),
-             {{"cores", static_cast<double>(topo.num_cores())},
-              {"packages", static_cast<double>(topo.num_packages())}});
 
   std::vector<Config> configs;
   {
@@ -105,7 +93,7 @@ int main(int argc, char** argv) {
     configs.push_back(pinned);
   }
   for (const Config& cfg : configs) {
-    run_config(cfg, workers, reps, items, report);
+    run_config(cfg, workers, reps, items);
   }
   return 0;
 }

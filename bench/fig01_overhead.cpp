@@ -58,6 +58,7 @@ int main(int argc, char** argv) {
   const auto iters =
       static_cast<std::uint64_t>(bench::flag_int(argc, argv, "--iters", 1 << 25));
   const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 5));
+  bench::reject_unknown_flags(argc, argv);
 
   double l1 = 0, mm = 0, hyper = 0, lock = 0;
 
@@ -92,11 +93,5 @@ int main(int argc, char** argv) {
   std::printf("%-16s %12.4f %12.2f\n", "locking", lock, lock / l1);
   std::printf("# paper (Opteron 8354): L1 1.0, memory-mapped ~3, hypermap "
               "~12, locking ~13\n");
-
-  bench::JsonReport report("fig01_overhead");
-  report.add("l1", 0, {{"time_s", l1}, {"normalized", 1.0}});
-  report.add("mm", 0, {{"time_s", mm}, {"normalized", mm / l1}});
-  report.add("hypermap", 0, {{"time_s", hyper}, {"normalized", hyper / l1}});
-  report.add("locking", 0, {{"time_s", lock}, {"normalized", lock / l1}});
   return 0;
 }

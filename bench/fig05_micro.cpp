@@ -43,10 +43,10 @@ int main(int argc, char** argv) {
   const auto procs =
       static_cast<unsigned>(bench::flag_int(argc, argv, "--procs", 0));
   const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 3));
+  bench::reject_unknown_flags(argc, argv);
   const std::int64_t grain = 2048;
 
   const char* kernels[] = {"add", "min", "max"};
-  bench::JsonReport report("fig05_micro");
 
   for (const unsigned p : {1u, 16u}) {
     if (procs != 0 && p != procs) continue;
@@ -65,10 +65,6 @@ int main(int argc, char** argv) {
             sched, kernel, n, lookups, grain, reps);
         std::printf("%s-%-6u %14.4f %14.4f %9.2fx\n", kernel, n, mm, hyper,
                     hyper / mm);
-        const std::string tag =
-            std::string(kernel) + ":p" + std::to_string(p);
-        report.add("mm:" + tag, n, {{"time_s", mm}});
-        report.add("hypermap:" + tag, n, {{"time_s", hyper}});
       }
     }
     std::printf("# paper: Cilk-M 4-9x faster serial, 3-9x faster on 16 procs\n\n");

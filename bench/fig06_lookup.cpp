@@ -12,6 +12,7 @@ int main(int argc, char** argv) {
   const auto lookups = static_cast<std::uint64_t>(
       bench::flag_int(argc, argv, "--lookups", 1 << 24));
   const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 5));
+  bench::reject_unknown_flags(argc, argv);
   const std::int64_t grain = 1 << 30;  // single chunk: pure serial loop
 
   std::printf("# Figure 6: lookup overhead on 1 processor "
@@ -20,7 +21,6 @@ int main(int argc, char** argv) {
   std::printf("%-10s %14s %14s %10s\n", "bench", "Cilk-M (s)",
               "Cilk Plus (s)", "CP/M");
 
-  bench::JsonReport report("fig06_lookup");
   cilkm::Scheduler sched(1);
   for (unsigned n = 4; n <= 1024; n *= 2) {
     const double base =
@@ -38,9 +38,6 @@ int main(int argc, char** argv) {
     const double hyper_over = hyper - base;
     std::printf("add-%-6u %14.4f %14.4f %9.2fx\n", n, mm_over, hyper_over,
                 hyper_over / mm_over);
-    report.add("mm", n, {{"overhead_s", mm_over}, {"time_s", mm}});
-    report.add("hypermap", n, {{"overhead_s", hyper_over}, {"time_s", hyper}});
-    report.add("base", n, {{"time_s", base}});
   }
   std::printf("# paper: Cilk-M overhead flat in n; Cilk Plus overhead larger "
               "and varying with n\n");

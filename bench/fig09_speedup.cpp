@@ -2,10 +2,10 @@
 // P ∈ {1, 2, 4, 8, 16} workers and n ∈ {4, 16, 64, 256, 1024}, relative to
 // the single-worker execution.
 //
-// NOTE (EXPERIMENTS.md): this reproduction host has a single physical core,
-// so worker counts beyond 1 are oversubscribed OS threads and wall-clock
-// speedup cannot exceed ~1x. The figure's claim — that reduce overhead does
-// not *degrade* scalability (speedup stays flat-or-better as n grows) — is
+// On a host with fewer CPUs than P, the extra workers are oversubscribed OS
+// threads and wall-clock speedup stops at the CPU count (about 4x on a
+// 4-vCPU machine). The figure's claim — that reduce overhead does not
+// *degrade* scalability (speedup stays flat-or-better as n grows) — is
 // still observable in the relative numbers per column.
 //
 //   ./fig09_speedup [--lookups N] [--reps R]
@@ -17,11 +17,11 @@ int main(int argc, char** argv) {
   const auto lookups = static_cast<std::uint64_t>(
       bench::flag_int(argc, argv, "--lookups", 1 << 23));
   const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 3));
+  bench::reject_unknown_flags(argc, argv);
   constexpr unsigned kNs[] = {4, 16, 64, 256, 1024};
   constexpr unsigned kProcs[] = {1, 2, 4, 8, 16};
 
   double base[5] = {};
-  bench::JsonReport report("fig09_speedup");
 
   std::printf("# Figure 9: speedup of add-n over the 1-worker execution "
               "(Cilk-M, %llu lookups)\n",
@@ -41,8 +41,6 @@ int main(int argc, char** argv) {
           }).mean_s;
       if (p == 1) base[ni] = mean;
       std::printf(" %12.2f", base[ni] / mean);
-      report.add("add-" + std::to_string(kNs[ni]), p,
-                 {{"time_s", mean}, {"speedup", base[ni] / mean}});
     }
     std::printf("\n");
   }

@@ -5,7 +5,8 @@
 // The paper's graphs (florida matrix collection + wikipedia crawl) are
 // replaced by synthetic stand-ins with matching |V|, |E| and diameter class,
 // scaled down by --shrink (default 64) so the suite regenerates in minutes
-// on one core. See DESIGN.md's substitution table.
+// on one core. paper_graph_suite() in src/pbfs/graph.cpp maps each paper
+// graph to its stand-in.
 //
 //   ./fig10_pbfs [--shrink S] [--reps R]
 #include <cstdio>
@@ -47,6 +48,7 @@ int main(int argc, char** argv) {
   const auto shrink =
       static_cast<unsigned>(bench::flag_int(argc, argv, "--shrink", 64));
   const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 3));
+  bench::reject_unknown_flags(argc, argv);
 
   std::vector<Row> rows;
   for (const auto& spec : paper_graph_suite(shrink)) {
@@ -94,18 +96,9 @@ int main(int argc, char** argv) {
   std::printf("\n# Figure 10(a): Cilk-M execution time normalized to "
               "Cilk Plus (lower-than-1 = Cilk-M faster)\n");
   std::printf("%-12s %14s %14s\n", "name", "P=1", "P=16");
-  bench::JsonReport report("fig10_pbfs");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
+  for (const auto& r : rows) {
     std::printf("%-12s %14.3f %14.3f\n", r.name.c_str(), r.ratio_p1,
                 r.ratio_p16);
-    report.add(r.name, static_cast<double>(i),
-               {{"vertices", static_cast<double>(r.v)},
-                {"edges", static_cast<double>(r.e)},
-                {"diameter", static_cast<double>(r.diameter)},
-                {"lookups", static_cast<double>(r.lookups)},
-                {"ratio_p1", r.ratio_p1},
-                {"ratio_p16", r.ratio_p16}});
   }
   std::printf("# paper: ~1.0 (Cilk-M slightly slower) serial; 0.7-0.9 "
               "(Cilk-M faster) on 16 procs\n");

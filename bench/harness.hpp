@@ -1,138 +1,30 @@
-// Shared benchmark harness: repetition with mean/stddev, flag parsing,
-// machine-readable JSON reporting (one BENCH_<figure>.json per figure, so
-// the perf trajectory is tracked across PRs), and the microbenchmark
-// kernels of paper Figure 4 (add-n / min-n / max-n and the add-base-n
-// control), parameterised over the reducer view-store policy.
+// Shared benchmark harness: repetition with mean/median/stddev, strict
+// flag parsing, and the microbenchmark kernels of paper Figure 4 (add-n /
+// min-n / max-n and the add-base-n control), parameterised over the reducer
+// view-store policy. Each program prints its figure as a console table.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
 #include <memory>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "reducers/reducers.hpp"
 #include "runtime/api.hpp"
+#include "util/run_stat.hpp"
 #include "util/timing.hpp"
 
 namespace bench {
 
-/// Machine-readable companion to each figure's console table. Collects
-/// (series, x, metrics) rows and writes BENCH_<figure>.json in the working
-/// directory when flushed (or destroyed), e.g.
-///
-///   {"figure": "fig06_lookup", "schema": "cilkm-bench-v1",
-///    "rows": [{"series": "mm", "x": 4, "metrics": {"overhead_s": 0.012}}]}
-class JsonReport {
- public:
-  explicit JsonReport(std::string figure) : figure_(std::move(figure)) {}
-  ~JsonReport() { flush(); }
-
-  JsonReport(const JsonReport&) = delete;
-  JsonReport& operator=(const JsonReport&) = delete;
-
-  void add(std::string series, double x,
-           std::initializer_list<std::pair<const char*, double>> metrics) {
-    Row row;
-    row.series = std::move(series);
-    row.x = x;
-    for (const auto& [key, value] : metrics) row.metrics.emplace_back(key, value);
-    rows_.push_back(std::move(row));
-  }
-
-  void flush() {
-    if (flushed_) return;
-    flushed_ = true;
-    const std::string path = "BENCH_" + figure_ + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "JsonReport: cannot write %s\n", path.c_str());
-      return;
-    }
-    std::fprintf(f, "{\n  \"figure\": \"%s\",\n  \"schema\": \"cilkm-bench-v1\",\n"
-                    "  \"rows\": [",
-                 figure_.c_str());
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      const Row& row = rows_[i];
-      std::fprintf(f, "%s\n    {\"series\": \"%s\", ", i == 0 ? "" : ",",
-                   row.series.c_str());
-      print_number(f, "x", row.x);
-      std::fprintf(f, ", \"metrics\": {");
-      for (std::size_t m = 0; m < row.metrics.size(); ++m) {
-        if (m != 0) std::fprintf(f, ", ");
-        print_number(f, row.metrics[m].first.c_str(), row.metrics[m].second);
-      }
-      std::fprintf(f, "}}");
-    }
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-  }
-
- private:
-  struct Row {
-    std::string series;
-    double x = 0;
-    std::vector<std::pair<std::string, double>> metrics;
-  };
-
-  // JSON has no NaN/Inf literals; emit null for non-finite values.
-  static void print_number(std::FILE* f, const char* key, double v) {
-    if (std::isfinite(v)) {
-      std::fprintf(f, "\"%s\": %.17g", key, v);
-    } else {
-      std::fprintf(f, "\"%s\": null", key);
-    }
-  }
-
-  std::string figure_;
-  std::vector<Row> rows_;
-  bool flushed_ = false;
-};
-
-struct RunStat {
-  double mean_s = 0;
-  double median_s = 0;
-  double stddev_s = 0;
-};
-
-/// Median of a sample set (the value reported by BENCH_*.json rows: robust
-/// against the occasional descheduled run on a shared host).
-inline double median(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  const std::size_t n = samples.size();
-  if (n == 0) return 0;
-  return n % 2 == 1 ? samples[n / 2]
-                    : (samples[n / 2 - 1] + samples[n / 2]) / 2;
-}
-
-/// Mean/median/population-stddev of a sample set — the one definition of
-/// these statistics behind every BENCH_*.json producer (figure benches via
-/// repeat(), the workload driver via its per-cell samples).
-inline RunStat stats_of(std::vector<double> samples) {
-  RunStat out;
-  if (samples.empty()) return out;
-  const auto n = static_cast<double>(samples.size());
-  for (const double s : samples) out.mean_s += s;
-  out.mean_s /= n;
-  for (const double s : samples) {
-    out.stddev_s += (s - out.mean_s) * (s - out.mean_s);
-  }
-  out.stddev_s = std::sqrt(out.stddev_s / n);
-  out.median_s = median(std::move(samples));
-  return out;
-}
-
 /// Run `body` `reps` times; returns mean, median, and standard deviation of
 /// wall time.
 template <typename F>
-RunStat repeat(int reps, F&& body) {
+cilkm::RunStat repeat(int reps, F&& body) {
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(reps));
   for (int r = 0; r < reps; ++r) {
@@ -141,14 +33,14 @@ RunStat repeat(int reps, F&& body) {
     const auto t1 = cilkm::now_ns();
     samples.push_back(static_cast<double>(t1 - t0) / 1e9);
   }
-  return stats_of(std::move(samples));
+  return cilkm::stats_of(std::move(samples));
 }
 
 /// Run `body` under `sched` `reps` times — one sched.run() per rep on the
 /// persistent pool. warm_up() first, so every sample times the parallel
 /// mechanism (wake, steal, reduce, quiesce) and none pays thread creation.
 template <typename F>
-RunStat repeat(cilkm::Scheduler& sched, int reps, F&& body) {
+cilkm::RunStat repeat(cilkm::Scheduler& sched, int reps, F&& body) {
   sched.warm_up();
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(reps));
@@ -158,23 +50,21 @@ RunStat repeat(cilkm::Scheduler& sched, int reps, F&& body) {
     const auto t1 = cilkm::now_ns();
     samples.push_back(static_cast<double>(t1 - t0) / 1e9);
   }
-  return stats_of(std::move(samples));
+  return cilkm::stats_of(std::move(samples));
 }
 
-/// Strict base-10 parse: the whole string must be one integer. Rejects the
-/// silent results std::atol gives for garbage like "abc" or "12abc".
-inline bool parse_long_strict(const char* text, long* out) {
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  *out = v;
-  return true;
+/// The flag names flag_int has been asked for, in call order: the flags
+/// this program reads.
+inline std::vector<const char*>& flags_read() {
+  static std::vector<const char*> names;
+  return names;
 }
 
 /// Integer flag lookup. A named flag with a missing, non-numeric, partially
 /// numeric, or negative value is a hard error (exit 2) rather than a
 /// silently substituted default (every bench flag is a count or a size).
 inline long flag_int(int argc, char** argv, const char* name, long def) {
+  flags_read().push_back(name);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], name) != 0) continue;
     if (i + 1 >= argc) {
@@ -182,7 +72,7 @@ inline long flag_int(int argc, char** argv, const char* name, long def) {
       std::exit(2);
     }
     long v = 0;
-    if (!parse_long_strict(argv[i + 1], &v) || v < 0) {
+    if (!cilkm::parse_long_strict(argv[i + 1], &v) || v < 0) {
       std::fprintf(stderr,
                    "bad value '%s' for %s (want a non-negative integer)\n",
                    argv[i + 1], name);
@@ -191,6 +81,27 @@ inline long flag_int(int argc, char** argv, const char* name, long def) {
     return v;
   }
   return def;
+}
+
+/// Call after the last flag_int: any argument that is not a flag read there
+/// (or its value) is a hard error (exit 2) naming the flags the program
+/// accepts, so a flag meant for another bench cannot silently leave the
+/// default input in place.
+inline void reject_unknown_flags(int argc, char** argv) {
+  const std::vector<const char*>& known = flags_read();
+  for (int i = 1; i < argc; ++i) {
+    const bool read =
+        std::any_of(known.begin(), known.end(),
+                    [&](const char* k) { return std::strcmp(argv[i], k) == 0; });
+    if (read) {
+      ++i;  // its value, already checked by flag_int
+      continue;
+    }
+    std::fprintf(stderr, "unknown flag '%s'; %s accepts", argv[i], argv[0]);
+    for (const char* k : known) std::fprintf(stderr, " %s", k);
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -212,13 +123,10 @@ inline std::uint64_t mix(std::uint64_t x) {
 
 template <typename Policy>
 struct MicroBench {
-  template <template <typename, typename> class Red>
-  using Bank = std::vector<std::unique_ptr<Red<std::uint64_t, Policy>>>;
-
   /// One lookup+update per iteration, reducer chosen round-robin. A nonzero
   /// yield_period inserts sched_yield points: on an oversubscribed host this
   /// provokes the preemption-driven steals that 16 real cores would produce
-  /// organically, so the reduce-overhead benches (Figures 7–8) see a
+  /// organically, so the reduce-overhead bench (Figures 7–8) sees a
   /// realistic steal rate. Execution-time benches keep it at 0.
   static void add_n(unsigned n, std::uint64_t x, std::int64_t grain,
                     std::int64_t yield_period = 0) {

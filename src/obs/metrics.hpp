@@ -1,10 +1,9 @@
 // Unified metrics registry: one typed snapshot of everything the runtime
 // counts — WorkerStats (per worker and aggregated), steal-latency
 // histograms, the internal allocator's per-tag footprint, and the tracer's
-// drop counter. Both emission surfaces consume this one schema: the
-// cilkm_run JSON report (driver.cpp) and the Chrome-trace exporter's
-// otherData block (trace_export.cpp), replacing the three hand-rolled
-// emission paths that previously read the sources directly.
+// drop counter. Three readers consume this one schema: the Chrome-trace
+// exporter's otherData block (trace_export.cpp), the watchdog's stall dump
+// (scheduler.cpp) and the repository benchmark (benchmark/cilkm_bench.cpp).
 //
 // capture() takes relaxed/plain snapshots; call it only on a quiesced
 // scheduler (Scheduler::run returning gives the happens-before, exactly the

@@ -1,6 +1,6 @@
 // The workload driver: execute any (workload × view-store policy × worker
 // count) cell of the registered scenario matrix, verify every cell against
-// its serial reference, and report timing as BENCH_workloads.json.
+// its serial reference, and print one timing row per cell.
 //
 //   $ ./cilkm_run --list
 //   $ ./cilkm_run --workload pbfs --policy mm --workers 1,2,8

@@ -7,20 +7,17 @@
 #include <map>
 #include <memory>
 #include <new>
-#include <optional>
 #include <thread>
 
-#include "bench/harness.hpp"
 #include "chaos/chaos.hpp"
-#include "mem/internal_alloc.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace_export.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/trace.hpp"
 #include "topo/placement.hpp"
-#include "topo/topology.hpp"
 #include "util/rng.hpp"
+#include "util/run_stat.hpp"
 #include "workloads/fuzzer.hpp"
 
 namespace cilkm::workloads {
@@ -30,7 +27,7 @@ namespace {
 constexpr const char* kUsage =
     "usage: cilkm_run [--list] [--workload NAME|all]... [--policy mm|hypermap|all]...\n"
     "                 [--workers N[,N...]] [--scale S] [--seed X] [--reps R]\n"
-    "                 [--figure NAME|none] [--pin] [--placement spread|compact]\n"
+    "                 [--pin] [--placement spread|compact]\n"
     "                 [--wake-batch K] [--steal locality|uniform]\n"
     "                 [--steal-batch half|N]\n"
     "                 [--profile] [--trace-out FILE]\n"
@@ -40,12 +37,12 @@ constexpr const char* kUsage =
     "\n"
     "Runs registered workload cells (workload x policy x workers); every cell\n"
     "verifies itself against a serial reference. Exits nonzero if any cell\n"
-    "fails verification. Writes BENCH_<figure>.json unless --figure none.\n"
+    "fails verification.\n"
     "\n"
-    "Observability: --profile turns on the work/span profiler and adds one\n"
-    "profile:<workload>/<policy> row per cell (work_ns, span_ns, parallelism,\n"
-    "burdened_span_ns, burdened_parallelism). --trace-out writes the LAST\n"
-    "cell's scheduler events as Chrome/Perfetto trace JSON.\n"
+    "Observability: --profile turns on the work/span profiler and prints a\n"
+    "profile: line under each cell (work, span, parallelism, burdened span,\n"
+    "burdened parallelism). --trace-out writes the LAST cell's scheduler\n"
+    "events and metrics snapshot as Chrome/Perfetto trace JSON.\n"
     "\n"
     "--fuzz runs the seed-replayable scenario fuzzer instead: --fuzz-iters\n"
     "composites (random monoid x shape x policy x workers x steal-batch) are\n"
@@ -69,8 +66,6 @@ constexpr const char* kUsage =
     "--steal selects proximity-ordered or uniform victim selection, and\n"
     "--steal-batch caps frames claimed per theft ('half' = ceil(avail/2),\n"
     "the default; 1 = classic single-frame stealing; N in 1..64).\n";
-
-using bench::parse_long_strict;
 
 bool parse_double_strict(const char* text, double* out) {
   char* end = nullptr;
@@ -170,10 +165,6 @@ bool parse_driver_options(int argc, char** argv, DriverOptions* out) {
         return false;
       }
       out->reps = static_cast<int>(v);
-    } else if (std::strcmp(arg, "--figure") == 0) {
-      if (!need_value(i)) return false;
-      const std::string name = argv[++i];
-      out->figure = name == "none" ? std::string{} : name;
     } else if (std::strcmp(arg, "--pin") == 0) {
       out->sched.pin = true;
     } else if (std::strcmp(arg, "--placement") == 0) {
@@ -345,29 +336,10 @@ int run_matrix(const DriverOptions& opts) {
   std::vector<unsigned> workers =
       opts.workers.empty() ? default_worker_counts() : opts.workers;
 
-  // Only materialise the report when a figure was requested: JsonReport
-  // flushes on destruction, so an unconditional instance would leave a stray
-  // BENCH_*.json behind every figure-less invocation (--figure none, the
-  // example shims, tests).
-  std::optional<bench::JsonReport> report;
-  if (!opts.figure.empty()) report.emplace(opts.figure);
-
-  // Self-describing artifacts: record the effective seed on the machine row
-  // so a BENCH_*.json (or its console table) can be reproduced without the
-  // invoking command line. The seed rides as two 32-bit halves — metric
-  // values are doubles, which cannot hold a full 64-bit seed exactly — and
-  // bench_diff.py only compares the requested --metric, so the extra metrics
-  // never trip a regression diff.
+  // Self-describing output: print the effective seed so the console table
+  // can be reproduced without the invoking command line.
   std::printf("# seed: 0x%llx\n",
               static_cast<unsigned long long>(opts.seed));
-  if (report.has_value()) {
-    const topo::Topology& topo = topo::Topology::machine();
-    report->add("machine:" + topo.describe(),
-                static_cast<double>(topo.num_cpus()),
-                {{"seed_hi", static_cast<double>(opts.seed >> 32)},
-                 {"seed_lo",
-                  static_cast<double>(opts.seed & 0xffffffffULL)}});
-  }
 
   // One persistent pool per worker count, shared across every workload,
   // policy, and rep: cells time the computation on warm workers, not
@@ -452,31 +424,12 @@ int run_matrix(const DriverOptions& opts) {
                           " rep(s) chaos-oom (injected allocator failure)";
         }
         last_cell = obs::capture(pools[p].get());
-        const WorkerStats& cell_stats = last_cell.aggregate;
-        const bench::RunStat stat = bench::stats_of(std::move(samples));
+        const RunStat stat = stats_of(std::move(samples));
         if (!verified) ++failures;
 
         std::printf("%-12s %-9s %3u %6s %12.6f %12.6f  %s\n", w->name.c_str(),
                     policy_name(policy), p, verified ? "ok" : "FAIL",
                     stat.median_s, stat.stddev_s, shown.detail.c_str());
-        if (report.has_value()) {
-          report->add(w->name + "/" + policy_name(policy),
-                      static_cast<double>(p),
-                      {{"median_s", stat.median_s},
-                       {"stddev_s", stat.stddev_s},
-                       {"verified", verified ? 1.0 : 0.0},
-                       {"steals",
-                        static_cast<double>(cell_stats[StatCounter::kSteals])},
-                       {"stolen_frames",
-                        static_cast<double>(
-                            cell_stats[StatCounter::kStolenFrames])},
-                       {"steal_ns_t0",
-                        static_cast<double>(cell_stats.steal_lat_ns[0])},
-                       {"steal_ns_t1",
-                        static_cast<double>(cell_stats.steal_lat_ns[1])},
-                       {"steal_ns_t2",
-                        static_cast<double>(cell_stats.steal_lat_ns[2])}});
-        }
         if (opts.profile) {
           const obs::RunProfile prof = profiler.totals();
           // Per-run means: the totals sum over reps, and each rep is one
@@ -491,24 +444,13 @@ int run_matrix(const DriverOptions& opts) {
                       "burdened-span %.3fms burdened-parallelism %.2f\n",
                       work_ns / 1e6, span_ns / 1e6, prof.parallelism(),
                       burdened_ns / 1e6, prof.burdened_parallelism());
-          if (report.has_value()) {
-            report->add("profile:" + w->name + "/" + policy_name(policy),
-                        static_cast<double>(p),
-                        {{"work_ns", work_ns},
-                         {"span_ns", span_ns},
-                         {"parallelism", prof.parallelism()},
-                         {"burdened_span_ns", burdened_ns},
-                         {"burdened_parallelism", prof.burdened_parallelism()},
-                         {"runs", static_cast<double>(prof.runs)}});
-          }
         }
       }
     }
   }
   if (opts.chaos) {
     // Per-site injection totals for the sweep. The digest is the
-    // order-independent fingerprint of the injected fault set (split into
-    // 32-bit halves on the JSON row — metric values are doubles).
+    // order-independent fingerprint of the injected fault set.
     for (unsigned s = 0; s < chaos::kNumSites; ++s) {
       const auto site = static_cast<chaos::Site>(s);
       const chaos::SiteStats st = chaos::site_stats(site);
@@ -519,35 +461,8 @@ int run_matrix(const DriverOptions& opts) {
                     static_cast<unsigned long long>(st.injected),
                     static_cast<unsigned long long>(st.digest));
       }
-      if (report.has_value()) {
-        report->add(std::string("chaos:") + chaos::to_string(site), 0.0,
-                    {{"consults", static_cast<double>(st.consults)},
-                     {"injected", static_cast<double>(st.injected)},
-                     {"digest_hi", static_cast<double>(st.digest >> 32)},
-                     {"digest_lo",
-                      static_cast<double>(st.digest & 0xffffffffULL)}});
-      }
     }
     chaos::disarm();
-  }
-
-  if (report.has_value()) {
-    // Internal-allocator footprint of the sweep, one row per tag: peaks say
-    // how much memory each layer (views, SPA pages, hypermap tables, fiber
-    // headers, frames) actually needed; live says what is still held now.
-    // Snapshot through the metrics registry — same source the exporter sees.
-    const obs::MetricsSnapshot end = obs::capture(nullptr);
-    for (std::size_t t = 0; t < mem::kNumTags; ++t) {
-      const auto tag = static_cast<mem::AllocTag>(t);
-      const mem::TagStats& ts = end.mem_tags[t];
-      report->add(std::string("mem:") + mem::to_string(tag), 0.0,
-                  {{"live_blocks", static_cast<double>(ts.live_blocks)},
-                   {"peak_blocks", static_cast<double>(ts.peak_blocks)},
-                   {"live_bytes", static_cast<double>(ts.live_bytes)},
-                   {"peak_bytes", static_cast<double>(ts.peak_bytes)},
-                   {"refills", static_cast<double>(ts.refills)}});
-    }
-    report->flush();
   }
 
   if (tracing) {

@@ -1,7 +1,7 @@
 // The cilkm_run driver, as a library so the tests can reuse the cell-matrix
 // runner. A "cell" is one (workload × view-store policy × worker count)
 // execution; every cell self-verifies against its serial reference, and the
-// matrix run reports timing through bench/harness.hpp's JsonReport.
+// matrix run prints one console row per cell with its timing.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,6 @@ struct DriverOptions {
   int reps = 1;                // timing repetitions per cell (median reported)
   bool list_only = false;
   bool help = false;           // --help: print usage and exit successfully
-  std::string figure = "workloads";  // BENCH_<figure>.json; empty = no JSON
   /// --fuzz: run the seed-replayable scenario fuzzer (workloads/fuzzer.hpp)
   /// instead of the cell matrix. --fuzz-seed sets the sweep's base seed,
   /// --fuzz-iters the composite count; --policy/--workers/--scale restrict
@@ -44,9 +43,9 @@ struct DriverOptions {
   /// Topology knobs for the persistent pools run_matrix builds: --pin,
   /// --placement, --wake-batch, --steal.
   rt::SchedulerOptions sched;
-  /// --profile: enable the work/span profiler and report one
-  /// "profile:<workload>/<policy>" row per cell (work, span, parallelism,
-  /// burdened span/parallelism — see obs/profiler.hpp).
+  /// --profile: enable the work/span profiler and print one "profile:" line
+  /// under each cell (work, span, parallelism, burdened span/parallelism —
+  /// see obs/profiler.hpp).
   bool profile = false;
   /// --trace-out FILE: enable the Tracer and export the LAST cell's event
   /// rings as Chrome/Perfetto trace JSON (obs/trace_export.hpp).
@@ -63,10 +62,10 @@ std::vector<unsigned> default_worker_counts();
 bool parse_driver_options(int argc, char** argv, DriverOptions* out);
 
 /// Execute the selected cell matrix: prints one table row per cell, writes
-/// BENCH_<figure>.json when a figure is requested (and no JSON file at all
-/// otherwise), and returns the number of cells whose verify() failed
-/// (0 = everything checked out). One persistent Scheduler per worker count
-/// is reused across all workloads, policies, and reps.
+/// no file except the --trace-out trace, and returns the number of cells
+/// whose verify() failed (0 = everything checked out). One persistent
+/// Scheduler per worker count is reused across all workloads, policies, and
+/// reps.
 int run_matrix(const DriverOptions& opts);
 
 }  // namespace cilkm::workloads

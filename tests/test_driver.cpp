@@ -1,7 +1,8 @@
 // The cilkm_run driver CLI and run_matrix behaviour: --help exits cleanly
 // without running the matrix, bad numeric values are rejected instead of
-// silently defaulted, and no BENCH_*.json is written unless a figure is
-// requested.
+// silently defaulted, and a matrix run writes no file. Plus the figure
+// benches' flag parser (bench/harness.hpp) and the sample statistics both
+// share (util/run_stat.hpp).
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -10,10 +11,12 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <regex>
 #include <string>
 #include <vector>
 
 #include "bench/harness.hpp"
+#include "util/run_stat.hpp"
 #include "workloads/driver.hpp"
 
 namespace {
@@ -28,22 +31,24 @@ bool parse(std::vector<const char*> args, DriverOptions* out) {
                               const_cast<char**>(args.data()), out);
 }
 
-/// Files in `dir` whose name starts with BENCH_.
-std::vector<std::string> bench_files_in(const std::string& dir) {
+/// Every entry of `dir` but "." and "..".
+std::vector<std::string> files_in(const std::string& dir) {
   std::vector<std::string> out;
   DIR* d = opendir(dir.c_str());
   if (d == nullptr) return out;
   while (dirent* e = readdir(d)) {
-    if (std::strncmp(e->d_name, "BENCH_", 6) == 0) out.emplace_back(e->d_name);
+    if (std::strcmp(e->d_name, ".") != 0 && std::strcmp(e->d_name, "..") != 0) {
+      out.emplace_back(e->d_name);
+    }
   }
   closedir(d);
   return out;
 }
 
 /// Runs `fn` with the working directory switched to a fresh temp dir, then
-/// restores it; returns the BENCH_* files the callback left behind.
+/// restores it; returns the files the callback left behind.
 template <typename Fn>
-std::vector<std::string> bench_files_created_by(Fn&& fn) {
+std::vector<std::string> files_created_by(Fn&& fn) {
   char old_cwd[4096];
   EXPECT_NE(getcwd(old_cwd, sizeof old_cwd), nullptr);
   char tmpl[] = "/tmp/cilkm_driver_test_XXXXXX";
@@ -51,7 +56,7 @@ std::vector<std::string> bench_files_created_by(Fn&& fn) {
   EXPECT_NE(dir, nullptr);
   EXPECT_EQ(chdir(dir), 0);
   fn();
-  std::vector<std::string> files = bench_files_in(".");
+  std::vector<std::string> files = files_in(".");
   for (const std::string& f : files) unlink(f.c_str());
   EXPECT_EQ(chdir(old_cwd), 0);
   rmdir(dir);
@@ -173,7 +178,6 @@ TEST(DriverCli, PinnedRestrictedMatrixRunsClean) {
   // locality stealing on whatever (possibly 1-CPU) mask this process has.
   DriverOptions opts = small_matrix();
   opts.sched.pin = true;
-  opts.figure.clear();
   EXPECT_EQ(run_matrix(opts), 0);
 }
 
@@ -187,34 +191,22 @@ TEST(DriverCli, RejectsTrailingFlagWithNoValue) {
 TEST(DriverCli, ParsesAValidCommandLine) {
   DriverOptions opts;
   ASSERT_TRUE(parse({"--workload", "fib", "--policy", "mm", "--workers",
-                     "1,2", "--scale", "2", "--reps", "3", "--figure", "none"},
+                     "1,2", "--scale", "2", "--reps", "3"},
                     &opts));
   EXPECT_EQ(opts.workload_names, std::vector<std::string>{"fib"});
   ASSERT_EQ(opts.workers.size(), 2u);
   EXPECT_EQ(opts.scale, 2u);
   EXPECT_EQ(opts.reps, 3);
-  EXPECT_TRUE(opts.figure.empty());
+  // The driver writes no JSON report, so the flag that named it is gone.
+  DriverOptions opts2;
+  EXPECT_FALSE(parse({"--figure", "none"}, &opts2));
 }
 
-TEST(DriverMatrix, NoJsonWrittenWithoutFigure) {
-  const auto files = bench_files_created_by([] {
-    DriverOptions opts = small_matrix();
-    opts.figure.clear();  // what --figure none produces
-    EXPECT_EQ(run_matrix(opts), 0);
+TEST(DriverMatrix, MatrixRunWritesNoFiles) {
+  const auto files = files_created_by([] {
+    EXPECT_EQ(run_matrix(small_matrix()), 0);
   });
-  // The pre-fix driver unconditionally constructed JsonReport("unused") and
-  // its destructor flushed BENCH_unused.json into the CWD.
   EXPECT_TRUE(files.empty()) << "stray file: " << files.front();
-}
-
-TEST(DriverMatrix, JsonWrittenWhenFigureRequested) {
-  const auto files = bench_files_created_by([] {
-    DriverOptions opts = small_matrix();
-    opts.figure = "drvtest";
-    EXPECT_EQ(run_matrix(opts), 0);
-  });
-  ASSERT_EQ(files.size(), 1u);
-  EXPECT_EQ(files.front(), "BENCH_drvtest.json");
 }
 
 TEST(DriverCli, ObservabilityFlagsParse) {
@@ -234,29 +226,24 @@ TEST(DriverCli, ObservabilityFlagsParse) {
 }
 
 TEST(DriverMatrix, ProfileRowsEmittedInReport) {
-  bench_files_created_by([] {
-    DriverOptions opts = small_matrix();
-    opts.profile = true;
-    opts.figure = "proftest";
-    EXPECT_EQ(run_matrix(opts), 0);
-    std::ifstream in("BENCH_proftest.json");
-    ASSERT_TRUE(in.is_open());
-    const std::string json((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    // One profile row per cell, with the full work/span metric set.
-    EXPECT_NE(json.find("profile:sum_loop/mm"), std::string::npos);
-    for (const char* key :
-         {"\"work_ns\"", "\"span_ns\"", "\"parallelism\"",
-          "\"burdened_span_ns\"", "\"burdened_parallelism\"", "\"runs\""}) {
-      EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
-    }
-  });
+  DriverOptions opts = small_matrix();
+  opts.profile = true;
+  testing::internal::CaptureStdout();
+  const int failures = run_matrix(opts);
+  const std::string out = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(failures, 0);
+  // One profile: line directly under the cell's row, with the full
+  // work/span metric set.
+  const std::regex cell_then_profile(
+      "sum_loop +mm +2 +ok[^\n]*\n"
+      "  profile: work [0-9.]+ms span [0-9.]+ms parallelism [0-9.]+ "
+      "burdened-span [0-9.]+ms burdened-parallelism [0-9.]+\n");
+  EXPECT_TRUE(std::regex_search(out, cell_then_profile)) << out;
 }
 
 TEST(DriverMatrix, TraceOutWritesChromeTraceJson) {
-  bench_files_created_by([] {
+  files_created_by([] {
     DriverOptions opts = small_matrix();
-    opts.figure.clear();
     opts.trace_out = "trace_test.json";
     EXPECT_EQ(run_matrix(opts), 0);
 
@@ -273,7 +260,7 @@ TEST(DriverMatrix, TraceOutWritesChromeTraceJson) {
 }
 
 TEST(DriverMatrix, ListOnlyWritesNoJson) {
-  const auto files = bench_files_created_by([] {
+  const auto files = files_created_by([] {
     DriverOptions opts;
     opts.list_only = true;
     EXPECT_EQ(run_matrix(opts), 0);
@@ -314,6 +301,41 @@ TEST(FlagInt, NegativeValueIsAHardError) {
   const char* argv[] = {"bench", "--reps", "-1"};
   EXPECT_EXIT(bench::flag_int(3, const_cast<char**>(argv), "--reps", 7),
               ::testing::ExitedWithCode(2), "bad value '-1' for --reps");
+}
+
+TEST(FlagInt, UnreadFlagIsAHardError) {
+  // fig01_overhead reads --iters, so fig06's --lookups used to be ignored
+  // and the run took the default 2^25 iterations.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* argv[] = {"fig01_overhead", "--lookups", "1000", "--reps", "1"};
+  char** args = const_cast<char**>(argv);
+  EXPECT_EXIT(
+      {
+        bench::flag_int(5, args, "--iters", 1 << 25);
+        bench::flag_int(5, args, "--reps", 5);
+        bench::reject_unknown_flags(5, args);
+      },
+      ::testing::ExitedWithCode(2),
+      "unknown flag '--lookups'; fig01_overhead accepts --iters --reps");
+  // After the death statement, so the child's list holds only its reads:
+  // a command line of flags that were all read passes.
+  const char* ok[] = {"fig01_overhead", "--reps", "1"};
+  bench::flag_int(3, const_cast<char**>(ok), "--reps", 5);
+  bench::reject_unknown_flags(3, const_cast<char**>(ok));
+}
+
+TEST(RunStat, MedianOddEvenEmpty) {
+  EXPECT_EQ(cilkm::median({3.0, 1.0, 2.0}), 2.0);
+  EXPECT_EQ(cilkm::median({4.0, 1.0, 3.0, 2.0}), 2.5);
+  EXPECT_EQ(cilkm::median({7.0}), 7.0);
+  EXPECT_EQ(cilkm::median({}), 0.0);
+}
+
+TEST(RunStat, RepeatFillsAllFields) {
+  const cilkm::RunStat stat = bench::repeat(5, [] {});
+  EXPECT_GE(stat.mean_s, 0.0);
+  EXPECT_GE(stat.median_s, 0.0);
+  EXPECT_GE(stat.stddev_s, 0.0);
 }
 
 }  // namespace
