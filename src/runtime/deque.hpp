@@ -84,6 +84,10 @@ class Deque {
   /// buffer and the time the thief lock is held.
   static constexpr unsigned kMaxStealBatch = 64;
 
+  /// Most sleepers one push() wakes when the deque is backing up (see
+  /// wake_sleepers()); an isolated push wakes one.
+  static constexpr unsigned kWakeBatch = 2;
+
   /// Registers the process for heavy_fence() on first use (once per
   /// process); aborts if the kernel lacks membarrier(2) or forbids it.
   Deque() noexcept;
@@ -91,17 +95,14 @@ class Deque {
   /// Wire the owning scheduler's parking lot into this deque: push() then
   /// wakes parked workers after publishing the new bottom entry. `tier_of`
   /// (indexed by worker id, owned by the scheduler) ranks sleepers by
-  /// proximity to this deque's owner; `wake_batch` caps how many sleepers
-  /// one push may wake (≥ 1; batching engages only when the deque is
-  /// backing up — see push()). `wake_counter` / `batch_counter` are the
-  /// owner's kWakes / kBatchWakes stat slots. Unattached deques (unit
+  /// proximity to this deque's owner. `wake_counter` / `batch_counter` are
+  /// the owner's kWakes / kBatchWakes stat slots. Unattached deques (unit
   /// tests, standalone use) pay nothing beyond a null check.
   void attach_wake_gate(ParkingLot* lot, const std::uint8_t* tier_of,
-                        unsigned wake_batch, std::uint64_t* wake_counter,
+                        std::uint64_t* wake_counter,
                         std::uint64_t* batch_counter) noexcept {
     lot_ = lot;
     wake_tier_of_ = tier_of;
-    wake_batch_ = wake_batch < 1 ? 1 : wake_batch;
     wake_counter_ = wake_counter;
     batch_counter_ = batch_counter;
   }
@@ -277,11 +278,11 @@ class Deque {
   /// push()'s wake-up, out of line: taken only while a worker is parked.
   /// Batched: one isolated push wakes at most one sleeper (the 1:1
   /// discipline), but when pushes outrun thieves — `outstanding` stealable
-  /// entries, a fan-out burst — wake up to wake_batch nearest sleepers at
+  /// entries, a fan-out burst — wake up to kWakeBatch nearest sleepers at
   /// once to cut the serial wake latency chain. wake() internally fences so
   /// the bottom store is ordered before its sleeper check (see parking.hpp).
   [[gnu::noinline]] void wake_sleepers(std::int64_t outstanding) noexcept {
-    unsigned want = wake_batch_;
+    unsigned want = kWakeBatch;
     if (outstanding < static_cast<std::int64_t>(want)) {
       want = outstanding < 1 ? 1u : static_cast<unsigned>(outstanding);
     }
@@ -414,7 +415,6 @@ class Deque {
   alignas(kCacheLineSize) std::atomic<std::int64_t> bottom_{0};
   ParkingLot* lot_ = nullptr;           // owner-written at attach, then const
   const std::uint8_t* wake_tier_of_ = nullptr;
-  unsigned wake_batch_ = 1;
   std::uint64_t* wake_counter_ = nullptr;
   std::uint64_t* batch_counter_ = nullptr;
 

@@ -1,11 +1,10 @@
 // Spawn pedigrees (Leiserson, Schardl & Sukha, SPAA'12 "DPRNG"): every
 // strand of the fork-join computation is named by the path of spawn ranks
 // from the root — a sequence fixed by the SERIAL elision of the program,
-// identical under every steal schedule, worker count, and steal-batch
-// setting. fork2join maintains the ranks (api.hpp), promoted frames carry
-// them through steals (frame.hpp / fiber_main), and util/dprng.hpp hashes
-// them so any random draw inside a parallel region is a pure function of
-// (seed, pedigree).
+// identical under every steal schedule and worker count. fork2join
+// maintains the ranks (api.hpp), promoted frames carry them through steals
+// (frame.hpp / fiber_main), and util/dprng.hpp hashes them so any random
+// draw inside a parallel region is a pure function of (seed, pedigree).
 //
 // Representation: the rank prefix is a linked chain of stack-allocated
 // nodes, one per live fork2join activation (the node lives in the spawning

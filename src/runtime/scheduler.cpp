@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "runtime/trace.hpp"
 #include "tlmm/region.hpp"
+#include "topo/placement.hpp"
 #include "topo/topology.hpp"
 #include "util/assert.hpp"
 
@@ -21,13 +22,6 @@ Scheduler::Scheduler(unsigned num_workers, SchedulerOptions options)
   CILKM_CHECK(num_workers >= 1, "need at least one worker");
   // Every runtime-linked binary gets worker/pedigree context on aborts.
   install_assert_context();
-  if (options_.wake_batch < 1) options_.wake_batch = 1;
-  if (options_.wake_batch > ParkingLot::kMaxBatch) {
-    options_.wake_batch = ParkingLot::kMaxBatch;
-  }
-  if (options_.steal_batch > Deque::kMaxStealBatch) {
-    options_.steal_batch = Deque::kMaxStealBatch;  // 0 ("half") passes through
-  }
   workers_.reserve(num_workers);
   for (unsigned i = 0; i < num_workers; ++i) {
     workers_.push_back(std::make_unique<Worker>(this, i));
@@ -38,7 +32,7 @@ Scheduler::Scheduler(unsigned num_workers, SchedulerOptions options)
   // oversubscribed, so proximity stays meaningful (several workers "share"
   // one CPU's position).
   const topo::Topology& topology = topo::Topology::machine();
-  worker_cpu_ = topo::assign_cpus(topology, num_workers, options_.placement);
+  worker_cpu_ = topo::assign_cpus(topology, num_workers);
 
   victim_tier_.assign(num_workers, std::vector<std::uint8_t>(num_workers, 0));
   victim_order_.assign(num_workers, {});
@@ -62,7 +56,7 @@ Scheduler::Scheduler(unsigned num_workers, SchedulerOptions options)
 
   for (auto& worker : workers_) {
     worker->deque().attach_wake_gate(
-        &parking_, victim_tier_[worker->id()].data(), options_.wake_batch,
+        &parking_, victim_tier_[worker->id()].data(),
         &worker->stats()[StatCounter::kWakes],
         &worker->stats()[StatCounter::kBatchWakes]);
   }
@@ -90,35 +84,25 @@ void Scheduler::build_victim_round(unsigned thief, std::vector<unsigned>* out) {
   // a full shuffle of a wide pool's tail.
   const std::size_t cap =
       std::min<std::size_t>(out->size(), kMaxStealProbes);
-  if (options_.locality_steal) {
-    // Partial Fisher–Yates within each proximity tier: nearest victims
-    // still come first, but the P thieves of one package don't all hammer
-    // the same neighbour in the same order.
-    std::size_t lo = 0;
-    while (lo < cap) {
-      std::size_t hi = lo + 1;
-      while (hi < out->size() && tier[(*out)[hi]] == tier[(*out)[lo]]) ++hi;
-      for (std::size_t i = lo; i < std::min(hi - 1, cap); ++i) {
-        std::swap((*out)[i], (*out)[i + static_cast<std::size_t>(
-                                            rng.below(hi - i))]);
-      }
-      lo = hi;
-    }
-    // Escape hatch: one round in eight leads with a uniformly random victim,
-    // so a loaded remote package is still discovered promptly and the
-    // whole-machine balance of uniform stealing is preserved.
-    if (rng.below(8) == 0) {
-      std::swap((*out)[0],
-                (*out)[static_cast<std::size_t>(rng.below(out->size()))]);
-    }
-  } else {
-    // Uniform mode: every prefix slot drawn from the whole remainder.
-    // Unlike sampling with replacement, one round still probes each victim
-    // at most once.
-    for (std::size_t i = 0; i < cap && i < out->size() - 1; ++i) {
+  // Partial Fisher–Yates within each proximity tier: nearest victims still
+  // come first, but the P thieves of one package don't all hammer the same
+  // neighbour in the same order.
+  std::size_t lo = 0;
+  while (lo < cap) {
+    std::size_t hi = lo + 1;
+    while (hi < out->size() && tier[(*out)[hi]] == tier[(*out)[lo]]) ++hi;
+    for (std::size_t i = lo; i < std::min(hi - 1, cap); ++i) {
       std::swap((*out)[i], (*out)[i + static_cast<std::size_t>(
-                                          rng.below(out->size() - i))]);
+                                          rng.below(hi - i))]);
     }
+    lo = hi;
+  }
+  // Escape hatch: one round in eight leads with a uniformly random victim,
+  // so a loaded remote package is still discovered promptly and the
+  // whole-machine balance of uniform stealing is preserved.
+  if (rng.below(8) == 0) {
+    std::swap((*out)[0],
+              (*out)[static_cast<std::size_t>(rng.below(out->size()))]);
   }
 }
 

@@ -6,10 +6,11 @@
 // creation and TLMM-region TLS rebuild — per invocation. Workers also
 // persist logically, keeping reducer slot offsets and pools warm.
 //
-// Placement and steal locality come from the topo/ subsystem: every worker
-// is assigned a CPU (pinned there when SchedulerOptions::pin is set), steal
+// One scheduling policy, from the topo/ subsystem: worker ids take the
+// spread CPU order (pinned there when SchedulerOptions::pin is set), steal
 // victims are probed in proximity order (same core → same package → remote)
-// with a randomized escape hatch, and pushes wake the nearest sleepers.
+// with a randomized escape hatch, a theft claims half the victim's frames,
+// and a push wakes up to Deque::kWakeBatch of the nearest sleepers.
 #pragma once
 
 #include <atomic>
@@ -24,34 +25,15 @@
 
 #include "runtime/parking.hpp"
 #include "runtime/worker.hpp"
-#include "topo/placement.hpp"
 
 namespace cilkm::rt {
 
-/// Topology-facing knobs of a worker pool. The defaults (spread placement,
-/// locality-ordered stealing, wake batches of 2, no pinning) are what
-/// cilkm_run and the benches measure as the baseline configuration.
+/// Deployment settings of a worker pool; neither changes the scheduling
+/// policy.
 struct SchedulerOptions {
   /// Pin each worker thread to its assigned CPU (best-effort: a failed
   /// sched_setaffinity leaves the thread unpinned).
   bool pin = false;
-
-  /// How worker ids map onto the machine's CPUs (see topo/placement.hpp).
-  topo::Placement placement = topo::Placement::kSpread;
-
-  /// Max sleepers one Deque::push may wake when the deque is backing up.
-  /// 1 restores the strict one-wake-per-push discipline; values are
-  /// clamped to [1, ParkingLot::kMaxBatch] at Scheduler construction.
-  unsigned wake_batch = 2;
-
-  /// Probe steal victims in proximity order instead of uniformly at random.
-  bool locality_steal = true;
-
-  /// Max frames one theft may claim from a victim's deque. 0 means "half":
-  /// a theft takes ceil(available/2), capped at Deque::kMaxStealBatch.
-  /// 1 restores classic single-frame Chase–Lev stealing; other values are
-  /// clamped to [1, Deque::kMaxStealBatch] at Scheduler construction.
-  unsigned steal_batch = 0;
 
   /// Run watchdog: if > 0, run() checks every watchdog_ms milliseconds that
   /// some worker made scheduling progress (launch, degraded run, or join
@@ -90,11 +72,15 @@ class Scheduler {
   }
   Worker& worker(unsigned i) noexcept { return *workers_[i]; }
 
-  const SchedulerOptions& options() const noexcept { return options_; }
-
   /// The logical CPU worker `w` is assigned (and pinned to, under
-  /// options().pin).
+  /// SchedulerOptions::pin).
   unsigned worker_cpu(unsigned w) const noexcept { return worker_cpu_[w]; }
+
+  /// Workers registered on the idle gate right now (a relaxed read: tests
+  /// poll it to wait for the pool to park).
+  std::uint32_t parked_workers() const noexcept {
+    return parking_.parked_count();
+  }
 
   /// Worker `thief`'s victims in proximity order (nearest first): a
   /// permutation of every other worker id. Stable after construction; the
@@ -116,12 +102,11 @@ class Scheduler {
 
   /// Build one steal round for `thief` into `out`: every other worker
   /// exactly once (no victim is probed twice in a round), nearest tiers
-  /// first under locality stealing (shuffled within each tier, with a
-  /// randomized escape hatch for whole-machine balance), a uniform shuffle
-  /// otherwise. Only the first kMaxStealProbes entries — all a round ever
-  /// probes — are randomized; the tail keeps tier order. Uses the thief
-  /// worker's private rng, so callers other than the thief itself may only
-  /// call this on a quiesced pool.
+  /// first (shuffled within each tier, with a randomized escape hatch for
+  /// whole-machine balance). Only the first kMaxStealProbes entries — all a
+  /// round ever probes — are randomized; the tail keeps tier order. Uses
+  /// the thief worker's private rng, so callers other than the thief itself
+  /// may only call this on a quiesced pool.
   void build_victim_round(unsigned thief, std::vector<unsigned>* out);
 
   /// Sum of all workers' counters. Counters accumulate across run() calls

@@ -44,12 +44,7 @@ JoinFrame* promote(SpawnFrame* frame) noexcept {
 
 }  // namespace
 
-Worker::Worker(Scheduler* sched, unsigned id) : id_(id), sched_(sched) {
-  // 0 = "half": take ceil(avail/2) up to the deque's transaction cap.
-  const unsigned batch = sched->options().steal_batch;
-  steal_batch_limit_ =
-      batch == 0 ? Deque::kMaxStealBatch : std::min(batch, Deque::kMaxStealBatch);
-}
+Worker::Worker(Scheduler* sched, unsigned id) : id_(id), sched_(sched) {}
 
 Worker::~Worker() {
   // Hand cached fibers back to the node shards; the pool (and its trim
@@ -309,7 +304,7 @@ SpawnFrame* Worker::try_steal_round() {
     // to the winning victim's tier and skew tier-vs-tier comparisons.
     const std::uint64_t attempt_start = now_ns();
     const unsigned got = sched_->workers_[victim_id]->deque_.steal_batch(
-        steal_buf_, steal_batch_limit_);
+        steal_buf_, Deque::kMaxStealBatch);
     if (got > 0) {
       // Tier 0/1 (same core or package) is a cache-near theft; tier 2
       // crossed a package or NUMA boundary.

@@ -124,10 +124,10 @@ class alignas(1024) Worker {
   void drain_pending();
 
   /// One steal round: a deduplicated tour over the other workers — in
-  /// proximity order under locality stealing (Scheduler::build_victim_round)
-  /// — with pause backoff between attempts. Every attempt (hit or miss)
-  /// bumps kStealAttempts; a hit is classified into kLocalSteals or
-  /// kRemoteSteals by the victim's proximity tier.
+  /// proximity order (Scheduler::build_victim_round) — with pause backoff
+  /// between attempts. Every attempt (hit or miss) bumps kStealAttempts; a
+  /// hit is classified into kLocalSteals or kRemoteSteals by the victim's
+  /// proximity tier.
   SpawnFrame* try_steal_round();
 
   /// Two-phase park on the scheduler's idle gate: register, re-check (done
@@ -162,7 +162,6 @@ class alignas(1024) Worker {
   // so steal rounds don't bounce the fiber-switch line above.
   alignas(kCacheLineSize) Xoshiro256 rng_;
   std::vector<unsigned> round_;  // scratch victim sequence, reused per round
-  unsigned steal_batch_limit_;   // per-theft frame cap (from SchedulerOptions)
   SpawnFrame* steal_buf_[Deque::kMaxStealBatch];  // steal_batch scratch
 
   // Stats on their own line: bumped from both the owner path (self-pops,

@@ -10,69 +10,34 @@
 
 namespace cilkm::topo {
 
-const char* placement_name(Placement p) noexcept {
-  switch (p) {
-    case Placement::kSpread: return "spread";
-    case Placement::kCompact: return "compact";
-  }
-  return "?";
-}
-
-bool parse_placement(const std::string& text, Placement* out) {
-  if (text == "spread") {
-    *out = Placement::kSpread;
-    return true;
-  }
-  if (text == "compact") {
-    *out = Placement::kCompact;
-    return true;
-  }
-  return false;
-}
-
-std::vector<unsigned> assign_cpus(const Topology& topo, unsigned num_workers,
-                                  Placement policy) {
+std::vector<unsigned> assign_cpus(const Topology& topo, unsigned num_workers) {
   struct Ranked {
     unsigned cpu;
     unsigned core;
-    unsigned package;
     unsigned smt_rank;  // 0 for a core's first thread, 1 for its sibling, …
   };
-  std::vector<Ranked> ranked;
-  ranked.reserve(topo.cpus().size());
+  std::map<unsigned, std::vector<Ranked>> per_package;
   std::map<unsigned, unsigned> seen_per_core;
   for (const CpuInfo& info : topo.cpus()) {  // cpus() ascends by id
-    ranked.push_back(
-        Ranked{info.cpu, info.core, info.package, seen_per_core[info.core]++});
+    per_package[info.package].push_back(
+        Ranked{info.cpu, info.core, seen_per_core[info.core]++});
   }
 
-  std::vector<unsigned> order;
-  order.reserve(ranked.size());
-  if (policy == Placement::kCompact) {
-    // Siblings adjacent, cores adjacent, one package at a time.
-    std::stable_sort(ranked.begin(), ranked.end(),
+  // Within each package, distinct cores before SMT siblings; then interleave
+  // the packages round-robin so consecutive workers land as far apart as
+  // possible.
+  for (auto& [package, bucket] : per_package) {
+    std::stable_sort(bucket.begin(), bucket.end(),
                      [](const Ranked& a, const Ranked& b) {
-                       return std::tie(a.package, a.core, a.smt_rank, a.cpu) <
-                              std::tie(b.package, b.core, b.smt_rank, b.cpu);
+                       return std::tie(a.smt_rank, a.core, a.cpu) <
+                              std::tie(b.smt_rank, b.core, b.cpu);
                      });
-    for (const Ranked& r : ranked) order.push_back(r.cpu);
-  } else {
-    // Spread: within each package, distinct cores before SMT siblings; then
-    // interleave the packages round-robin so consecutive workers land as far
-    // apart as possible.
-    std::map<unsigned, std::vector<Ranked>> per_package;
-    for (const Ranked& r : ranked) per_package[r.package].push_back(r);
+  }
+  std::vector<unsigned> order;
+  order.reserve(topo.cpus().size());
+  for (std::size_t i = 0; order.size() < topo.cpus().size(); ++i) {
     for (auto& [package, bucket] : per_package) {
-      std::stable_sort(bucket.begin(), bucket.end(),
-                       [](const Ranked& a, const Ranked& b) {
-                         return std::tie(a.smt_rank, a.core, a.cpu) <
-                                std::tie(b.smt_rank, b.core, b.cpu);
-                       });
-    }
-    for (std::size_t i = 0; order.size() < ranked.size(); ++i) {
-      for (auto& [package, bucket] : per_package) {
-        if (i < bucket.size()) order.push_back(bucket[i].cpu);
-      }
+      if (i < bucket.size()) order.push_back(bucket[i].cpu);
     }
   }
 

@@ -1,36 +1,22 @@
 // Worker placement: map worker ids onto the topology's CPUs and optionally
-// pin the calling thread. Two policies:
-//
-//   kSpread  (default) — round-robin across packages, distinct physical
-//     cores before SMT siblings: maximises cache and memory bandwidth per
-//     worker, the right default for the paper's bandwidth-hungry SPA view
-//     stores.
-//   kCompact — fill core by core (siblings adjacent), package by package:
-//     minimises steal latency between neighbouring worker ids, useful when
-//     the working set fits one package's LLC.
+// pin the calling thread. The order is spread: round-robin across packages,
+// distinct physical cores before SMT siblings, which maximises cache and
+// memory bandwidth per worker — what the paper's bandwidth-hungry SPA view
+// stores want.
 //
 // With more workers than CPUs the assignment wraps modulo the CPU order, so
 // oversubscribed pools (the test suite's bread and butter) stay valid.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "topo/topology.hpp"
 
 namespace cilkm::topo {
 
-enum class Placement : int { kSpread = 0, kCompact = 1 };
-
-const char* placement_name(Placement p) noexcept;
-
-/// Parse "spread" | "compact"; returns false on anything else.
-bool parse_placement(const std::string& text, Placement* out);
-
-/// worker id -> logical cpu id for `num_workers` workers. Never empty;
-/// wraps modulo the topology's CPU count when oversubscribed.
-std::vector<unsigned> assign_cpus(const Topology& topo, unsigned num_workers,
-                                  Placement policy);
+/// worker id -> logical cpu id for `num_workers` workers, in spread order.
+/// Never empty; wraps modulo the topology's CPU count when oversubscribed.
+std::vector<unsigned> assign_cpus(const Topology& topo, unsigned num_workers);
 
 /// Pin the calling thread to one logical CPU. Returns false (leaving
 /// affinity unchanged) when unsupported or rejected by the kernel — callers

@@ -15,7 +15,6 @@
 #include "obs/trace_export.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/trace.hpp"
-#include "topo/placement.hpp"
 #include "util/rng.hpp"
 #include "util/run_stat.hpp"
 #include "workloads/fuzzer.hpp"
@@ -27,10 +26,7 @@ namespace {
 constexpr const char* kUsage =
     "usage: cilkm_run [--list] [--workload NAME|all]... [--policy mm|hypermap|all]...\n"
     "                 [--workers N[,N...]] [--scale S] [--seed X] [--reps R]\n"
-    "                 [--pin] [--placement spread|compact]\n"
-    "                 [--wake-batch K] [--steal locality|uniform]\n"
-    "                 [--steal-batch half|N]\n"
-    "                 [--profile] [--trace-out FILE]\n"
+    "                 [--pin] [--profile] [--trace-out FILE]\n"
     "                 [--fuzz] [--fuzz-seed X] [--fuzz-iters N]\n"
     "                 [--chaos P] [--chaos-seed X] [--chaos-sites LIST]\n"
     "                 [--watchdog-ms N]\n"
@@ -45,11 +41,11 @@ constexpr const char* kUsage =
     "events and metrics snapshot as Chrome/Perfetto trace JSON.\n"
     "\n"
     "--fuzz runs the seed-replayable scenario fuzzer instead: --fuzz-iters\n"
-    "composites (random monoid x shape x policy x workers x steal-batch) are\n"
-    "drawn from base seed --fuzz-seed and checked against their serial\n"
-    "elisions; a failure prints (and records in FUZZ_failing_seeds.txt) the\n"
-    "exact --fuzz-seed that replays it alone. --policy/--workers/--scale\n"
-    "restrict the composite space.\n"
+    "composites (random monoid x shape x policy x workers) are drawn from\n"
+    "base seed --fuzz-seed and checked against their serial elisions; a\n"
+    "failure prints (and records in FUZZ_failing_seeds.txt) the exact\n"
+    "--fuzz-seed that replays it alone. --policy/--workers/--scale restrict\n"
+    "the composite space; --pin and --watchdog-ms apply to its pools.\n"
     "\n"
     "--chaos P arms deterministic fault injection (src/chaos/): each fail\n"
     "point consults a pedigree-keyed DPRNG at probability P, so the same\n"
@@ -61,11 +57,8 @@ constexpr const char* kUsage =
     "failed. --watchdog-ms N makes a run with no scheduling progress for N\n"
     "ms dump its metrics/trace state and abort instead of hanging.\n"
     "\n"
-    "Topology: --pin binds each worker to its assigned CPU, --placement picks\n"
-    "the worker->CPU map, --wake-batch caps sleepers woken per push (1..16),\n"
-    "--steal selects proximity-ordered or uniform victim selection, and\n"
-    "--steal-batch caps frames claimed per theft ('half' = ceil(avail/2),\n"
-    "the default; 1 = classic single-frame stealing; N in 1..64).\n";
+    "Topology: placement (spread), victim order (nearest tier first) and\n"
+    "batch sizes are fixed; --pin binds each worker to its assigned CPU.\n";
 
 bool parse_double_strict(const char* text, double* out) {
   char* end = nullptr;
@@ -167,42 +160,6 @@ bool parse_driver_options(int argc, char** argv, DriverOptions* out) {
       out->reps = static_cast<int>(v);
     } else if (std::strcmp(arg, "--pin") == 0) {
       out->sched.pin = true;
-    } else if (std::strcmp(arg, "--placement") == 0) {
-      if (!need_value(i)) return false;
-      if (!topo::parse_placement(argv[++i], &out->sched.placement)) {
-        std::fprintf(stderr,
-                     "bad --placement '%s' (want spread or compact)\n%s",
-                     argv[i], kUsage);
-        return false;
-      }
-    } else if (std::strcmp(arg, "--wake-batch") == 0) {
-      if (!need_value(i)) return false;
-      long v = 0;
-      if (!parse_long_strict(argv[++i], &v) || v < 1 ||
-          v > static_cast<long>(rt::ParkingLot::kMaxBatch)) {
-        std::fprintf(stderr,
-                     "bad --wake-batch '%s' (want an integer in 1..%u)\n%s",
-                     argv[i], rt::ParkingLot::kMaxBatch, kUsage);
-        return false;
-      }
-      out->sched.wake_batch = static_cast<unsigned>(v);
-    } else if (std::strcmp(arg, "--steal-batch") == 0) {
-      if (!need_value(i)) return false;
-      const std::string mode = argv[++i];
-      if (mode == "half") {
-        out->sched.steal_batch = 0;
-      } else {
-        long v = 0;
-        if (!parse_long_strict(mode.c_str(), &v) || v < 1 ||
-            v > static_cast<long>(rt::Deque::kMaxStealBatch)) {
-          std::fprintf(stderr,
-                       "bad --steal-batch '%s' (want 'half' or an integer in "
-                       "1..%u)\n%s",
-                       mode.c_str(), rt::Deque::kMaxStealBatch, kUsage);
-          return false;
-        }
-        out->sched.steal_batch = static_cast<unsigned>(v);
-      }
     } else if (std::strcmp(arg, "--profile") == 0) {
       out->profile = true;
     } else if (std::strcmp(arg, "--trace-out") == 0) {
@@ -263,19 +220,6 @@ bool parse_driver_options(int argc, char** argv, DriverOptions* out) {
         return false;
       }
       out->sched.watchdog_ms = static_cast<unsigned>(v);
-    } else if (std::strcmp(arg, "--steal") == 0) {
-      if (!need_value(i)) return false;
-      const std::string mode = argv[++i];
-      if (mode == "locality") {
-        out->sched.locality_steal = true;
-      } else if (mode == "uniform") {
-        out->sched.locality_steal = false;
-      } else {
-        std::fprintf(stderr,
-                     "bad --steal '%s' (want locality or uniform)\n%s",
-                     mode.c_str(), kUsage);
-        return false;
-      }
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       std::fputs(kUsage, stdout);
       out->help = true;
@@ -299,6 +243,7 @@ int run_matrix(const DriverOptions& opts) {
     fuzz.scale = opts.scale;
     fuzz.policies = opts.policies;
     fuzz.workers = opts.workers;
+    fuzz.sched = opts.sched;
     fuzz.chaos = opts.chaos;
     if (opts.chaos) {
       fuzz.chaos_p = opts.chaos_p;

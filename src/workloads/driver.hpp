@@ -40,8 +40,8 @@ struct DriverOptions {
   double chaos_p = 0.02;
   std::uint64_t chaos_seed = 0;
   std::uint32_t chaos_sites = 0;
-  /// Topology knobs for the persistent pools run_matrix builds: --pin,
-  /// --placement, --wake-batch, --steal.
+  /// Settings of every pool run_matrix builds, the fuzzer's included:
+  /// --pin and --watchdog-ms.
   rt::SchedulerOptions sched;
   /// --profile: enable the work/span profiler and print one "profile:" line
   /// under each cell (work, span, parallelism, burdened span/parallelism —

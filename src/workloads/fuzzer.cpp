@@ -1,6 +1,6 @@
 // Seed-replayable scenario fuzzer (see fuzzer.hpp for the replay contract).
 // Each composite is drawn from one 64-bit seed: a reducer monoid, a spawn
-// shape, a view-store policy, a worker count, and a steal-batch setting.
+// shape, a view-store policy, and a worker count.
 // The composite's draws come from the DotMix DPRNG, so the serial elision
 // and the scheduled run consume IDENTICAL value streams — any divergence is
 // a runtime bug (lost view update, misordered reduce, pedigree drift), not
@@ -85,10 +85,9 @@ struct Scenario {
   Shape shape{};
   PolicyKind policy{};
   unsigned workers = 1;
-  unsigned steal_batch = 0;  // Scheduler knob: 0 = half, 1 = single-frame
-  std::int64_t n = 0;        // loop-shape trip count
-  int depth = 0;             // tree-shape depth
-  int draws = 1;             // DPRNG draws folded in per leaf strand
+  std::int64_t n = 0;  // loop-shape trip count
+  int depth = 0;       // tree-shape depth
+  int draws = 1;       // DPRNG draws folded in per leaf strand
 };
 
 Scenario draw_scenario(std::uint64_t seed, const FuzzOptions& opts) {
@@ -113,7 +112,9 @@ Scenario draw_scenario(std::uint64_t seed, const FuzzOptions& opts) {
   if (workers.empty()) workers = {1, 2, 4};
   sc.workers = workers[pick(workers.size())];
 
-  sc.steal_batch = pick(2) == 0 ? 0 : 1;
+  // An unused draw: dropping it would shift every draw below and change
+  // the composite each recorded --fuzz-seed replays.
+  (void)pick(2);
   sc.n = static_cast<std::int64_t>(200 + pick(1800)) *
          static_cast<std::int64_t>(std::max(1u, opts.scale));
   sc.depth = 4 + static_cast<int>(pick(5));  // 4..8
@@ -307,9 +308,9 @@ bool run_scenario(const Scenario& sc, rt::Scheduler* pool,
 }  // namespace
 
 int run_fuzz(const FuzzOptions& opts) {
-  // Pools are keyed by (workers, steal_batch) and reused across composites,
-  // mirroring run_matrix's warm-pool discipline.
-  std::map<std::pair<unsigned, unsigned>, std::unique_ptr<rt::Scheduler>> pools;
+  // Pools are keyed by worker count and reused across composites, mirroring
+  // run_matrix's warm-pool discipline.
+  std::map<unsigned, std::unique_ptr<rt::Scheduler>> pools;
 
   std::printf("fuzz sweep: base seed %s, %d composite(s), scale %u\n",
               hex(opts.seed).c_str(), opts.iters, std::max(1u, opts.scale));
@@ -334,20 +335,17 @@ int run_fuzz(const FuzzOptions& opts) {
     const Scenario sc =
         draw_scenario(opts.seed + static_cast<std::uint64_t>(i), opts);
 
-    auto& pool = pools[{sc.workers, sc.steal_batch}];
+    auto& pool = pools[sc.workers];
     if (pool == nullptr) {
-      rt::SchedulerOptions so;
-      so.steal_batch = sc.steal_batch;
-      pool = std::make_unique<rt::Scheduler>(sc.workers, so);
+      pool = std::make_unique<rt::Scheduler>(sc.workers, opts.sched);
     }
 
     std::string detail;
     const bool ok = run_scenario(sc, pool.get(), &detail);
-    std::printf(
-        "  %-20s %-13s %-14s %-9s P=%u batch=%-4s %s%s%s\n",
-        hex(sc.seed).c_str(), monoid_name(sc.monoid), shape_name(sc.shape),
-        policy_name(sc.policy), sc.workers, sc.steal_batch == 0 ? "half" : "1",
-        ok ? "ok" : "FAIL", detail.empty() ? "" : "  ", detail.c_str());
+    std::printf("  %-20s %-13s %-14s %-9s P=%u %s%s%s\n",
+                hex(sc.seed).c_str(), monoid_name(sc.monoid),
+                shape_name(sc.shape), policy_name(sc.policy), sc.workers,
+                ok ? "ok" : "FAIL", detail.empty() ? "" : "  ", detail.c_str());
 
     if (!ok) {
       ++failures;
@@ -357,10 +355,10 @@ int run_fuzz(const FuzzOptions& opts) {
       if (artifact != nullptr) {
         std::fprintf(artifact,
                      "cilkm_run --fuzz --fuzz-seed %s --fuzz-iters 1"
-                     "  # %s x %s, policy %s, P=%u, steal-batch %s: %s\n",
+                     "  # %s x %s, policy %s, P=%u: %s\n",
                      hex(sc.seed).c_str(), monoid_name(sc.monoid),
                      shape_name(sc.shape), policy_name(sc.policy), sc.workers,
-                     sc.steal_batch == 0 ? "half" : "1", detail.c_str());
+                     detail.c_str());
       }
     }
   }

@@ -1,7 +1,7 @@
 // The scenario fuzzer: composes random reducer monoids × workload shapes ×
-// view-store policies × scheduler settings from a single seed, verifies
-// every composite against its serial elision, and replays any failure from
-// the seed alone. Driven by cilkm_run --fuzz / --fuzz-seed / --fuzz-iters
+// view-store policies × worker counts from a single seed, verifies every
+// composite against its serial elision, and replays any failure from the
+// seed alone. Driven by cilkm_run --fuzz / --fuzz-seed / --fuzz-iters
 // and by the bounded fuzz sweep registered in CTest.
 //
 // Replay discipline: iteration i of a sweep over base seed S runs the
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "runtime/scheduler.hpp"
 #include "workloads/workload.hpp"
 
 namespace cilkm::workloads {
@@ -27,6 +28,8 @@ struct FuzzOptions {
   std::vector<PolicyKind> policies;
   /// Worker counts the composite draw may select from (empty = {1, 2, 4}).
   std::vector<unsigned> workers;
+  /// Settings of every pool the sweep builds (pinning, run watchdog).
+  rt::SchedulerOptions sched;
   /// Arm deterministic fault injection (src/chaos/) for the whole sweep.
   /// Composites still verify against their serial elisions — chaos consults
   /// use the pure pedigree hash, so injected faults never perturb workload

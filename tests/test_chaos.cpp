@@ -5,7 +5,7 @@
 // join protocol to Scheduler::run — and none of them abort the process or
 // poison the pool. The pedigree-keyed decisions make the injected fault set
 // a pure function of (seed, site, strand), which the cross-schedule digest
-// test pins across worker counts and steal-batch settings.
+// test pins across worker counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -269,10 +269,8 @@ TEST(ChaosDegradation, InjectedAllocOomPropagatesAsBadAlloc) {
 /// One run under push-site injection, returning the site's statistics.
 /// Push consults happen once per spawn on the worker path, so both the
 /// consult count and the injected (strand) set are schedule-independent.
-chaos::SiteStats push_fault_run(unsigned workers, unsigned steal_batch) {
-  cilkm::SchedulerOptions so;
-  so.steal_batch = steal_batch;
-  cilkm::Scheduler sched(workers, so);
+chaos::SiteStats push_fault_run(unsigned workers) {
+  cilkm::Scheduler sched(workers);
   chaos::Config cfg;
   cfg.p = 0.05;
   cfg.seed = 0xfeedfacef00dULL;
@@ -285,24 +283,22 @@ chaos::SiteStats push_fault_run(unsigned workers, unsigned steal_batch) {
 }
 
 TEST(ChaosDeterminism, SameSeedSameFaultSetAcrossSchedules) {
-  const chaos::SiteStats base = push_fault_run(1, 0);
+  const chaos::SiteStats base = push_fault_run(1);
   ASSERT_GT(base.consults, 0u);
   ASSERT_GT(base.injected, 0u);  // p=0.05 over 2047 spawns
   for (const unsigned p : {1u, 2u, 4u}) {
-    for (const unsigned batch : {0u, 1u}) {
-      const chaos::SiteStats got = push_fault_run(p, batch);
-      // (injected, digest) equality == identical injected fault set: the
-      // digest is an order-independent sum over the decision hashes of the
-      // strands that fired, so no schedule can fake it.
-      EXPECT_EQ(got.consults, base.consults) << "P=" << p << " batch=" << batch;
-      EXPECT_EQ(got.injected, base.injected) << "P=" << p << " batch=" << batch;
-      EXPECT_EQ(got.digest, base.digest) << "P=" << p << " batch=" << batch;
-    }
+    const chaos::SiteStats got = push_fault_run(p);
+    // (injected, digest) equality == identical injected fault set: the
+    // digest is an order-independent sum over the decision hashes of the
+    // strands that fired, so no schedule can fake it.
+    EXPECT_EQ(got.consults, base.consults) << "P=" << p;
+    EXPECT_EQ(got.injected, base.injected) << "P=" << p;
+    EXPECT_EQ(got.digest, base.digest) << "P=" << p;
   }
 }
 
 TEST(ChaosDeterminism, MetricsExposePerSiteRows) {
-  (void)push_fault_run(2, 0);  // leaves nonzero stats behind (then disarms)
+  (void)push_fault_run(2);  // leaves nonzero stats behind (then disarms)
   const chaos::SiteStats st = chaos::site_stats(chaos::Site::kDequePush);
   ASSERT_GT(st.consults, 0u);
   const cilkm::obs::MetricsSnapshot snap = cilkm::obs::capture(nullptr);
@@ -327,10 +323,8 @@ TEST(ChaosDeterminism, MetricsExposePerSiteRows) {
 /// index keyed) pedigree draws decide the throw, so the same leaves throw
 /// under every policy, worker count, and steal schedule.
 template <typename Policy>
-void exception_stress(unsigned workers, unsigned steal_batch) {
-  cilkm::SchedulerOptions so;
-  so.steal_batch = steal_batch;
-  cilkm::Scheduler sched(workers, so);
+void exception_stress(unsigned workers) {
+  cilkm::Scheduler sched(workers);
   // Injected protocol delays widen the THE/join race windows so steals and
   // parked joins actually interleave with the unwinds.
   chaos::Config cfg;
@@ -370,16 +364,12 @@ void exception_stress(unsigned workers, unsigned steal_batch) {
 }
 
 TEST(ChaosExceptionStress, DeepThrowsUnderForcedStealsMm) {
-  for (const unsigned p : {1u, 2u, 4u}) {
-    for (const unsigned batch : {0u, 1u}) {
-      exception_stress<cilkm::mm_policy>(p, batch);
-    }
-  }
+  for (const unsigned p : {1u, 2u, 4u}) exception_stress<cilkm::mm_policy>(p);
 }
 
 TEST(ChaosExceptionStress, DeepThrowsUnderForcedStealsHypermap) {
   for (const unsigned p : {2u, 4u}) {
-    exception_stress<cilkm::hypermap_policy>(p, /*steal_batch=*/0);
+    exception_stress<cilkm::hypermap_policy>(p);
   }
 }
 

@@ -104,73 +104,26 @@ TEST(DriverCli, RejectsNegativeSeed) {
 
 TEST(DriverCli, TopologyFlagsParse) {
   DriverOptions opts;
-  ASSERT_TRUE(parse({"--pin", "--placement", "compact", "--wake-batch", "4",
-                     "--steal", "uniform"},
-                    &opts));
+  ASSERT_TRUE(parse({"--pin"}, &opts));
   EXPECT_TRUE(opts.sched.pin);
-  EXPECT_EQ(opts.sched.placement, cilkm::topo::Placement::kCompact);
-  EXPECT_EQ(opts.sched.wake_batch, 4u);
-  EXPECT_FALSE(opts.sched.locality_steal);
 
-  // Defaults: locality stealing and batched wakes on, no pinning.
   DriverOptions defaults;
   ASSERT_TRUE(parse({}, &defaults));
   EXPECT_FALSE(defaults.sched.pin);
-  EXPECT_EQ(defaults.sched.placement, cilkm::topo::Placement::kSpread);
-  EXPECT_TRUE(defaults.sched.locality_steal);
-  EXPECT_GE(defaults.sched.wake_batch, 2u);
-}
-
-TEST(DriverCli, StealBatchFlagParses) {
-  DriverOptions opts;
-  ASSERT_TRUE(parse({"--steal-batch", "1"}, &opts));
-  EXPECT_EQ(opts.sched.steal_batch, 1u);
-  DriverOptions opts2;
-  ASSERT_TRUE(parse({"--steal-batch", "half"}, &opts2));
-  EXPECT_EQ(opts2.sched.steal_batch, 0u);  // 0 encodes "half"
-  DriverOptions opts3;
-  ASSERT_TRUE(parse({"--steal-batch", "64"}, &opts3));
-  EXPECT_EQ(opts3.sched.steal_batch, 64u);
-  // Default: steal-half on.
-  DriverOptions defaults;
-  ASSERT_TRUE(parse({}, &defaults));
-  EXPECT_EQ(defaults.sched.steal_batch, 0u);
-}
-
-TEST(DriverCli, StealBatchFlagRejectsGarbage) {
-  DriverOptions opts;
-  EXPECT_FALSE(parse({"--steal-batch", "0"}, &opts));  // spell it "half"
-  DriverOptions opts2;
-  EXPECT_FALSE(parse({"--steal-batch", "65"}, &opts2));  // above the cap
-  DriverOptions opts3;
-  EXPECT_FALSE(parse({"--steal-batch", "-1"}, &opts3));
-  DriverOptions opts4;
-  EXPECT_FALSE(parse({"--steal-batch", "2x"}, &opts4));
-  DriverOptions opts5;
-  EXPECT_FALSE(parse({"--steal-batch", "halfish"}, &opts5));
-  DriverOptions opts6;
-  EXPECT_FALSE(parse({"--steal-batch"}, &opts6));  // trailing, no value
 }
 
 TEST(DriverCli, TopologyFlagsRejectGarbage) {
-  DriverOptions opts;
-  EXPECT_FALSE(parse({"--placement", "scatter"}, &opts));
-  DriverOptions opts2;
-  EXPECT_FALSE(parse({"--placement"}, &opts2));  // trailing, no value
-  DriverOptions opts3;
-  EXPECT_FALSE(parse({"--wake-batch", "0"}, &opts3));
-  DriverOptions opts4;
-  EXPECT_FALSE(parse({"--wake-batch", "-2"}, &opts4));
-  DriverOptions opts5;
-  EXPECT_FALSE(parse({"--wake-batch", "3x"}, &opts5));
-  DriverOptions opts5b;
-  EXPECT_FALSE(parse({"--wake-batch", "17"}, &opts5b));  // above kMaxBatch
-  DriverOptions opts6;
-  EXPECT_FALSE(parse({"--steal", "sometimes"}, &opts6));
-  DriverOptions opts7;
-  EXPECT_FALSE(parse({"--wake-batch"}, &opts7));
-  DriverOptions opts8;
-  EXPECT_FALSE(parse({"--steal"}, &opts8));
+  // The scheduling policy is fixed, so no flag selects a placement, victim
+  // order or batch size: each of these is an unknown flag.
+  for (const char* flag :
+       {"--placement", "--wake-batch", "--steal", "--steal-batch"}) {
+    DriverOptions opts;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(parse({flag, "1"}, &opts)) << flag;
+    EXPECT_NE(testing::internal::GetCapturedStderr().find("unknown flag"),
+              std::string::npos)
+        << flag;
+  }
 }
 
 TEST(DriverCli, PinnedRestrictedMatrixRunsClean) {
@@ -179,6 +132,19 @@ TEST(DriverCli, PinnedRestrictedMatrixRunsClean) {
   DriverOptions opts = small_matrix();
   opts.sched.pin = true;
   EXPECT_EQ(run_matrix(opts), 0);
+}
+
+TEST(DriverCliDeathTest, FuzzSweepHonoursTheWatchdog) {
+  // --watchdog-ms reaches the fuzzer's pools as it reaches the matrix's.
+  // At P=1 this composite runs for tens of milliseconds with no scheduling
+  // progress after its root launch, far past the 1 ms stall window.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DriverOptions opts;
+  ASSERT_TRUE(parse({"--fuzz", "--fuzz-seed", "0x5eed5eed5eed5ef5",
+                     "--fuzz-iters", "1", "--workers", "1", "--scale", "200",
+                     "--watchdog-ms", "1"},
+                    &opts));
+  EXPECT_DEATH(run_matrix(opts), "run watchdog");
 }
 
 TEST(DriverCli, RejectsTrailingFlagWithNoValue) {

@@ -1,8 +1,8 @@
 // Pedigree and DPRNG invariants: a strand's spawn pedigree — and therefore
 // every DotMix draw — is a pure function of its serial position, identical
-// across worker counts, steal-batch settings, forced-steal stress, and
-// repeated runs of one seed. These are the guarantees the scenario fuzzer
-// and the DPRNG-using workloads replay failures by.
+// across worker counts, forced-steal stress, and repeated runs of one seed.
+// These are the guarantees the scenario fuzzer and the DPRNG-using
+// workloads replay failures by.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +24,6 @@ using cilkm::parallel_for;
 using cilkm::rt::current_strand;
 using cilkm::rt::PedigreeScope;
 using cilkm::rt::Scheduler;
-using cilkm::rt::SchedulerOptions;
 
 // ---------------------------------------------------------------------------
 // Harnesses. Every shape uses FIXED grains / fanouts so the spawn tree — and
@@ -89,26 +88,20 @@ auto serial_elision(F&& body) {
 TEST(Pedigree, SerialElisionMatchesP1AndPN) {
   SCOPED_TRACE(cilkm::test::seed_trace());
   const std::uint64_t seed = cilkm::test::derived_seed(10);
-  const auto expect = serial_elision([&] { return loop_draws(seed, 512, false); });
-  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-    Scheduler pool(workers);
+  struct Input {
+    unsigned workers;
+    std::int64_t n;
+    bool jitter;  // yield points provoke steals
+  };
+  for (const Input in : {Input{1, 512, false}, Input{2, 512, false},
+                         Input{4, 512, false}, Input{8, 512, false},
+                         Input{4, 1024, true}}) {
+    const auto expect =
+        serial_elision([&] { return loop_draws(seed, in.n, in.jitter); });
+    Scheduler pool(in.workers);
     std::vector<std::uint64_t> got;
-    pool.run([&] { got = loop_draws(seed, 512, false); });
-    EXPECT_EQ(got, expect) << "P=" << workers;
-  }
-}
-
-TEST(Pedigree, StealBatchHalfAndOneProduceIdenticalStreams) {
-  SCOPED_TRACE(cilkm::test::seed_trace());
-  const std::uint64_t seed = cilkm::test::derived_seed(11);
-  const auto expect = serial_elision([&] { return tree_draws(seed, 9, true); });
-  for (const unsigned steal_batch : {0u, 1u, 4u}) {  // 0 = "half"
-    SchedulerOptions opts;
-    opts.steal_batch = steal_batch;
-    Scheduler pool(4, opts);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
-    pool.run([&] { got = tree_draws(seed, 9, true); });
-    EXPECT_EQ(got, expect) << "steal_batch=" << steal_batch;
+    pool.run([&] { got = loop_draws(seed, in.n, in.jitter); });
+    EXPECT_EQ(got, expect) << "P=" << in.workers << " jitter=" << in.jitter;
   }
 }
 
@@ -124,20 +117,6 @@ TEST(PedigreeStress, RepeatedRunsUnderForcedStealsAreIdentical) {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
     pool.run([&] { got = tree_draws(seed, 10, true); });
     ASSERT_EQ(got, expect) << "round " << round;
-  }
-}
-
-TEST(Pedigree, UniformAndLocalityStealingAgree) {
-  SCOPED_TRACE(cilkm::test::seed_trace());
-  const std::uint64_t seed = cilkm::test::derived_seed(13);
-  const auto expect = serial_elision([&] { return loop_draws(seed, 1024, true); });
-  for (const bool locality : {true, false}) {
-    SchedulerOptions opts;
-    opts.locality_steal = locality;
-    Scheduler pool(4, opts);
-    std::vector<std::uint64_t> got;
-    pool.run([&] { got = loop_draws(seed, 1024, true); });
-    EXPECT_EQ(got, expect) << "locality=" << locality;
   }
 }
 

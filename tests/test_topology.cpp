@@ -1,6 +1,6 @@
 // The topo/ subsystem: sysfs discovery against canned golden trees (SMT
 // on/off, multi-package, NUMA, cpuset-restricted masks, missing sysfs →
-// flat fallback), placement policies, thread pinning, the ParkingLot's
+// flat fallback), spread placement, thread pinning, the ParkingLot's
 // batched/LIFO targeted wake-ups, and the scheduler's locality-aware
 // victim ordering (including the dedup-within-a-round regression fix).
 #include <gtest/gtest.h>
@@ -34,7 +34,6 @@ namespace fs = std::filesystem;
 using cilkm::StatCounter;
 using cilkm::rt::ParkingLot;
 using cilkm::topo::CpuInfo;
-using cilkm::topo::Placement;
 using cilkm::topo::Topology;
 
 using Proximity = Topology::Proximity;
@@ -268,7 +267,7 @@ TEST(Placement, SpreadUsesDistinctCoresAcrossPackagesFirst) {
   SysfsTree tree = make_two_package_smt_tree();
   const Topology topo = Topology::discover_at(tree.path());
   const std::vector<unsigned> cpus =
-      cilkm::topo::assign_cpus(topo, 4, Placement::kSpread);
+      cilkm::topo::assign_cpus(topo, 4);
   ASSERT_EQ(cpus.size(), 4u);
   // Four workers on four distinct cores, alternating packages.
   std::set<unsigned> cores, packages;
@@ -282,41 +281,13 @@ TEST(Placement, SpreadUsesDistinctCoresAcrossPackagesFirst) {
   EXPECT_NE(topo.find(cpus[0])->package, topo.find(cpus[1])->package);
 }
 
-TEST(Placement, CompactFillsSiblingsAndCoresInOrder) {
-  SysfsTree tree = make_two_package_smt_tree();
-  const Topology topo = Topology::discover_at(tree.path());
-  const std::vector<unsigned> cpus =
-      cilkm::topo::assign_cpus(topo, 4, Placement::kCompact);
-  ASSERT_EQ(cpus.size(), 4u);
-  // First two workers share a core (SMT siblings); all four stay on one
-  // package.
-  EXPECT_EQ(topo.proximity(cpus[0], cpus[1]), Proximity::kSameCore);
-  std::set<unsigned> packages;
-  for (const unsigned cpu : cpus) packages.insert(topo.find(cpu)->package);
-  EXPECT_EQ(packages.size(), 1u);
-}
-
 TEST(Placement, OversubscriptionWrapsModuloTheCpuOrder) {
   SysfsTree tree = make_two_package_smt_tree();
   const Topology topo = Topology::discover_at(tree.path());
-  for (const Placement policy : {Placement::kSpread, Placement::kCompact}) {
-    const std::vector<unsigned> cpus = cilkm::topo::assign_cpus(topo, 19, policy);
-    ASSERT_EQ(cpus.size(), 19u);
-    for (const unsigned cpu : cpus) EXPECT_NE(topo.find(cpu), nullptr);
-    EXPECT_EQ(cpus[8], cpus[0]);  // wrapped
-  }
-}
-
-TEST(Placement, NamesRoundTripAndGarbageIsRejected) {
-  for (const Placement p : {Placement::kSpread, Placement::kCompact}) {
-    Placement parsed;
-    ASSERT_TRUE(cilkm::topo::parse_placement(cilkm::topo::placement_name(p),
-                                             &parsed));
-    EXPECT_EQ(parsed, p);
-  }
-  Placement ignored;
-  EXPECT_FALSE(cilkm::topo::parse_placement("scatter", &ignored));
-  EXPECT_FALSE(cilkm::topo::parse_placement("", &ignored));
+  const std::vector<unsigned> cpus = cilkm::topo::assign_cpus(topo, 19);
+  ASSERT_EQ(cpus.size(), 19u);
+  for (const unsigned cpu : cpus) EXPECT_NE(topo.find(cpu), nullptr);
+  EXPECT_EQ(cpus[8], cpus[0]);  // wrapped
 }
 
 #if defined(__linux__)
@@ -489,20 +460,16 @@ TEST(LocalitySteal, VictimOrderIsAPermutationSortedByTier) {
 TEST(LocalitySteal, StealRoundProbesEachVictimAtMostOnce) {
   // Regression for the sample-with-replacement steal loop: one round could
   // probe the same victim repeatedly (inflating kStealAttempts without
-  // widening coverage). A built round must be a permutation in both modes.
-  for (const bool locality : {true, false}) {
-    cilkm::rt::SchedulerOptions options;
-    options.locality_steal = locality;
-    cilkm::Scheduler sched(5, options);
-    std::vector<unsigned> round;
-    for (unsigned thief = 0; thief < 5; ++thief) {
-      for (int rep = 0; rep < 32; ++rep) {
-        sched.build_victim_round(thief, &round);
-        ASSERT_EQ(round.size(), 4u);
-        const std::set<unsigned> seen(round.begin(), round.end());
-        EXPECT_EQ(seen.size(), 4u) << "duplicate victim in a round";
-        EXPECT_EQ(seen.count(thief), 0u);
-      }
+  // widening coverage). A built round must be a permutation.
+  cilkm::Scheduler sched(5);
+  std::vector<unsigned> round;
+  for (unsigned thief = 0; thief < 5; ++thief) {
+    for (int rep = 0; rep < 32; ++rep) {
+      sched.build_victim_round(thief, &round);
+      ASSERT_EQ(round.size(), 4u);
+      const std::set<unsigned> seen(round.begin(), round.end());
+      EXPECT_EQ(seen.size(), 4u) << "duplicate victim in a round";
+      EXPECT_EQ(seen.count(thief), 0u);
     }
   }
 }
@@ -532,27 +499,9 @@ TEST(LocalitySteal, StealsClassifyAsLocalPlusRemote) {
             stats[StatCounter::kSteals]);
 }
 
-TEST(LocalitySteal, UniformModeStillComputesCorrectly) {
-  cilkm::rt::SchedulerOptions options;
-  options.locality_steal = false;
-  options.wake_batch = 1;
-  cilkm::Scheduler sched(4, options);
-  std::atomic<long> sum{0};
-  sched.run([&] {
-    cilkm::parallel_for(0, 4000, 8, [&](std::int64_t i) {
-      sum.fetch_add(i, std::memory_order_relaxed);
-    });
-  });
-  EXPECT_EQ(sum.load(), 3999L * 4000 / 2);
-  const auto stats = sched.aggregate_stats();
-  EXPECT_EQ(stats[StatCounter::kLocalSteals] + stats[StatCounter::kRemoteSteals],
-            stats[StatCounter::kSteals]);
-}
-
 TEST(LocalitySteal, PinnedPoolRunsAndAssignsCpusFromTheMachine) {
   cilkm::rt::SchedulerOptions options;
   options.pin = true;
-  options.placement = cilkm::topo::Placement::kCompact;
   cilkm::Scheduler sched(4, options);
   const Topology& topo = Topology::machine();
   for (unsigned w = 0; w < 4; ++w) {
@@ -568,21 +517,6 @@ TEST(LocalitySteal, PinnedPoolRunsAndAssignsCpusFromTheMachine) {
     });
     EXPECT_EQ(sum.load(), 1999L * 2000 / 2);
   }
-}
-
-TEST(LocalitySteal, WakeBatchConfigRoundTrips) {
-  cilkm::rt::SchedulerOptions options;
-  options.wake_batch = 7;
-  cilkm::Scheduler sched(2, options);
-  EXPECT_EQ(sched.options().wake_batch, 7u);
-  cilkm::rt::SchedulerOptions zero;
-  zero.wake_batch = 0;  // clamped to the 1:1 discipline, not a crash
-  cilkm::Scheduler clamped(2, zero);
-  EXPECT_EQ(clamped.options().wake_batch, 1u);
-  cilkm::rt::SchedulerOptions big;
-  big.wake_batch = 99;  // clamped to what one wake() can actually deliver
-  cilkm::Scheduler capped(2, big);
-  EXPECT_EQ(capped.options().wake_batch, ParkingLot::kMaxBatch);
 }
 
 }  // namespace
