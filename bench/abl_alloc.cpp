@@ -122,10 +122,9 @@ void run_mode(const Mode& mode, unsigned threads, int reps, long iters) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 5));
-  const auto workers =
-      static_cast<unsigned>(bench::flag_int(argc, argv, "--workers", 4));
-  const long iters = bench::flag_int(argc, argv, "--iters", 200000);
+  const int reps = bench::flag_int(argc, argv, "--reps", 5, 1);
+  const auto workers = bench::flag_int<unsigned>(argc, argv, "--workers", 4);
+  const long iters = bench::flag_int<long>(argc, argv, "--iters", 200000);
   bench::reject_unknown_flags(argc, argv);
 
   const cilkm::topo::Topology& topo = cilkm::topo::Topology::machine();

@@ -66,11 +66,9 @@ double run_mode(const Mode& mode, cilkm::Scheduler& sched, unsigned workers,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 7));
-  const auto workers =
-      static_cast<unsigned>(bench::flag_int(argc, argv, "--workers", 4));
-  const auto depth =
-      static_cast<unsigned>(bench::flag_int(argc, argv, "--depth", 16));
+  const int reps = bench::flag_int(argc, argv, "--reps", 7, 1);
+  const auto workers = bench::flag_int<unsigned>(argc, argv, "--workers", 4);
+  const auto depth = bench::flag_int<unsigned>(argc, argv, "--depth", 16);
   bench::reject_unknown_flags(argc, argv);
 
   const cilkm::topo::Topology& topo = cilkm::topo::Topology::machine();

@@ -152,7 +152,7 @@ void ablation_hypermap_growth(int reps) {
 void benchmark_keep(void* p) { asm volatile("" : : "g"(p) : "memory"); }
 
 int main(int argc, char** argv) {
-  const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 2000));
+  const int reps = bench::flag_int(argc, argv, "--reps", 2000, 1);
   bench::reject_unknown_flags(argc, argv);
   ablation_log_overflow(reps);
   ablation_transferal(reps / 10 + 1);

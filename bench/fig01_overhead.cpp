@@ -56,8 +56,8 @@ void locking_bench(std::uint64_t iters) {
 
 int main(int argc, char** argv) {
   const auto iters =
-      static_cast<std::uint64_t>(bench::flag_int(argc, argv, "--iters", 1 << 25));
-  const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 5));
+      bench::flag_int<std::uint64_t>(argc, argv, "--iters", 1 << 25);
+  const int reps = bench::flag_int(argc, argv, "--reps", 5, 1);
   bench::reject_unknown_flags(argc, argv);
 
   double l1 = 0, mm = 0, hyper = 0, lock = 0;

@@ -38,11 +38,10 @@ double run_kernel(cilkm::Scheduler& sched, const char* kernel, unsigned n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto lookups = static_cast<std::uint64_t>(
-      bench::flag_int(argc, argv, "--lookups", 1 << 24));
-  const auto procs =
-      static_cast<unsigned>(bench::flag_int(argc, argv, "--procs", 0));
-  const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 3));
+  const auto lookups =
+      bench::flag_int<std::uint64_t>(argc, argv, "--lookups", 1 << 24);
+  const auto procs = bench::flag_int<unsigned>(argc, argv, "--procs", 0);
+  const int reps = bench::flag_int(argc, argv, "--reps", 3, 1);
   bench::reject_unknown_flags(argc, argv);
   const std::int64_t grain = 2048;
 

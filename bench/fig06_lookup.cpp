@@ -9,9 +9,9 @@
 #include "harness.hpp"
 
 int main(int argc, char** argv) {
-  const auto lookups = static_cast<std::uint64_t>(
-      bench::flag_int(argc, argv, "--lookups", 1 << 24));
-  const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 5));
+  const auto lookups =
+      bench::flag_int<std::uint64_t>(argc, argv, "--lookups", 1 << 24);
+  const int reps = bench::flag_int(argc, argv, "--reps", 5, 1);
   bench::reject_unknown_flags(argc, argv);
   const std::int64_t grain = 1 << 30;  // single chunk: pure serial loop
 

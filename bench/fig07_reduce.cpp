@@ -54,11 +54,10 @@ Overheads measure(cilkm::Scheduler& sched, unsigned n, std::uint64_t lookups,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto lookups = static_cast<std::uint64_t>(
-      bench::flag_int(argc, argv, "--lookups", 1 << 23));
-  const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 5));
-  const auto procs =
-      static_cast<unsigned>(bench::flag_int(argc, argv, "--procs", 16));
+  const auto lookups =
+      bench::flag_int<std::uint64_t>(argc, argv, "--lookups", 1 << 23);
+  const int reps = bench::flag_int(argc, argv, "--reps", 5, 1);
+  const auto procs = bench::flag_int<unsigned>(argc, argv, "--procs", 16);
   bench::reject_unknown_flags(argc, argv);
 
   std::printf("# Figure 7: reduce overhead of add-n on %u workers "

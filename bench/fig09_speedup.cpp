@@ -14,9 +14,9 @@
 #include "harness.hpp"
 
 int main(int argc, char** argv) {
-  const auto lookups = static_cast<std::uint64_t>(
-      bench::flag_int(argc, argv, "--lookups", 1 << 23));
-  const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 3));
+  const auto lookups =
+      bench::flag_int<std::uint64_t>(argc, argv, "--lookups", 1 << 23);
+  const int reps = bench::flag_int(argc, argv, "--reps", 3, 1);
   bench::reject_unknown_flags(argc, argv);
   constexpr unsigned kNs[] = {4, 16, 64, 256, 1024};
   constexpr unsigned kProcs[] = {1, 2, 4, 8, 16};

@@ -45,9 +45,8 @@ double time_pbfs(cilkm::Scheduler& sched, const Graph& g, int reps,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto shrink =
-      static_cast<unsigned>(bench::flag_int(argc, argv, "--shrink", 64));
-  const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 3));
+  const auto shrink = bench::flag_int<unsigned>(argc, argv, "--shrink", 64);
+  const int reps = bench::flag_int(argc, argv, "--reps", 3, 1);
   bench::reject_unknown_flags(argc, argv);
 
   std::vector<Row> rows;

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -60,10 +61,12 @@ inline std::vector<const char*>& flags_read() {
   return names;
 }
 
-/// Integer flag lookup. A named flag with a missing, non-numeric, partially
-/// numeric, or negative value is a hard error (exit 2) rather than a
-/// silently substituted default (every bench flag is a count or a size).
-inline long flag_int(int argc, char** argv, const char* name, long def) {
+/// Integer flag lookup into a T. A named flag whose value is missing, not
+/// one integer, out of T's range or below `min` is a hard error (exit 2)
+/// rather than a silently substituted default (every bench flag is a count
+/// or a size; every --reps passes min 1).
+template <typename T>
+T flag_int(int argc, char** argv, const char* name, T def, T min = 0) {
   flags_read().push_back(name);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], name) != 0) continue;
@@ -71,11 +74,13 @@ inline long flag_int(int argc, char** argv, const char* name, long def) {
       std::fprintf(stderr, "missing value for %s\n", name);
       std::exit(2);
     }
-    long v = 0;
-    if (!cilkm::parse_long_strict(argv[i + 1], &v) || v < 0) {
+    T v{};
+    if (!cilkm::parse_int(argv[i + 1], &v) || v < min) {
       std::fprintf(stderr,
-                   "bad value '%s' for %s (want a non-negative integer)\n",
-                   argv[i + 1], name);
+                   "bad value '%s' for %s (want an integer in [%lld, %llu])\n",
+                   argv[i + 1], name, static_cast<long long>(min),
+                   static_cast<unsigned long long>(
+                       std::numeric_limits<T>::max()));
       std::exit(2);
     }
     return v;

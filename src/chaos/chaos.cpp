@@ -5,6 +5,7 @@
 #include "runtime/worker.hpp"
 #include "util/dprng.hpp"
 #include "util/rng.hpp"
+#include "util/spinlock.hpp"
 #include "util/timing.hpp"
 
 namespace cilkm::chaos {
@@ -73,11 +74,7 @@ bool consult(Site s, const rt::PedigreeState& ped, bool fault) noexcept {
 
 void spin_ns(std::uint64_t ns) noexcept {
   const std::uint64_t t0 = now_ns();
-  while (now_ns() - t0 < ns) {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-  }
+  while (now_ns() - t0 < ns) cpu_relax();
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // (util/dprng.hpp), so whether a given strand faults is a pure function of
 // (chaos seed, site, pedigree): the same --chaos-seed injects the same
 // faults at the same strands regardless of worker count, view-store policy,
-// steal-batch setting, or steal schedule — exactly the replay property the
-// SPAA'12 DPRNG gives workload draws, applied to failure testing.
+// or steal schedule — exactly the replay property the SPAA'12 DPRNG gives
+// workload draws, applied to failure testing.
 //
 // Sites come in two flavors:
 //   - fault sites (kAllocRefill, kFiberAcquire, kDequePush): the consult

@@ -7,15 +7,13 @@
 // the allocator design.
 #pragma once
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstddef>
 #include <vector>
 
 #include "topo/topology.hpp"
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 namespace cilkm::mem {
 
@@ -53,11 +51,8 @@ class NodeMap {
   /// amortise it over a refill/flush batch, never per allocation.
   unsigned current_shard() const noexcept {
     if (num_shards_ == 1) return 0;
-#if defined(__linux__)
     const int cpu = ::sched_getcpu();
-    if (cpu >= 0) return shard_of_cpu(static_cast<unsigned>(cpu));
-#endif
-    return 0;
+    return cpu >= 0 ? shard_of_cpu(static_cast<unsigned>(cpu)) : 0;
   }
 
  private:

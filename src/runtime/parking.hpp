@@ -1,10 +1,9 @@
-// Idle-worker parking: a per-worker parking lot (targeted wake-ups) plus a
-// cpu_relax() spin hint. Workers that find no work after an exponential
-// spin→yield backoff park on their own slot; producers (Deque::push, root
-// completion) wake up to k parked workers at once, choosing by proximity to
-// the producer and, within a proximity tier, most-recently-parked first
-// (LIFO — the last worker to go idle has the warmest cache and the shortest
-// wake latency).
+// Idle-worker parking: a per-worker parking lot (targeted wake-ups). Workers
+// that find no work after an exponential spin→yield backoff park on their
+// own slot; producers (Deque::push, root completion) wake up to k parked
+// workers at once, choosing by proximity to the producer and, within a
+// proximity tier, most-recently-parked first (LIFO — the last worker to go
+// idle has the warmest cache and the shortest wake latency).
 //
 // The lost-wakeup race is closed Dekker-style: a consumer takes a TICKET
 // from its slot's epoch, REGISTERS in the shared parked stack, RE-CHECKS its
@@ -37,18 +36,9 @@
 
 #include "util/assert.hpp"
 #include "util/cache.hpp"
+#include "util/spinlock.hpp"
 
 namespace cilkm::rt {
-
-/// Pause hint for spin loops: keeps the core's speculation machinery (and a
-/// hyperthread sibling) out of the way without yielding the time slice.
-inline void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-#endif
-}
 
 class ParkingLot {
  public:

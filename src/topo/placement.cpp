@@ -4,9 +4,7 @@
 #include <map>
 #include <tuple>
 
-#if defined(__linux__)
 #include <sched.h>
-#endif
 
 namespace cilkm::topo {
 
@@ -47,16 +45,11 @@ std::vector<unsigned> assign_cpus(const Topology& topo, unsigned num_workers) {
 }
 
 bool pin_current_thread(unsigned cpu) noexcept {
-#if defined(__linux__)
   if (cpu >= CPU_SETSIZE) return false;
   cpu_set_t one;
   CPU_ZERO(&one);
   CPU_SET(cpu, &one);
   return sched_setaffinity(0, sizeof one, &one) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
 }
 
 }  // namespace cilkm::topo

@@ -10,9 +10,7 @@
 #include <thread>
 #include <utility>
 
-#if defined(__linux__)
 #include <sched.h>
-#endif
 
 namespace cilkm::topo {
 
@@ -194,7 +192,6 @@ Topology Topology::discover_at(const std::string& sysfs_root,
 }
 
 Topology Topology::discover() {
-#if defined(__linux__)
   std::vector<unsigned> affinity;
   cpu_set_t set;
   CPU_ZERO(&set);
@@ -205,9 +202,6 @@ Topology Topology::discover() {
   }
   return discover_at("/sys/devices/system",
                      affinity.empty() ? nullptr : &affinity);
-#else
-  return flat(fallback_cpu_count());
-#endif
 }
 
 const Topology& Topology::machine() {

@@ -1,5 +1,5 @@
 // Runtime assertion macro that stays active in release builds for cheap
-// invariants and compiles out only when CILKM_NO_CHECKS is defined.
+// invariants, plus a debug-only variant for the heavier ones.
 #pragma once
 
 #include <cstdio>
@@ -25,13 +25,9 @@ inline AssertContextFn assert_context_fn = nullptr;
 
 }  // namespace cilkm::detail
 
-#ifdef CILKM_NO_CHECKS
-#define CILKM_CHECK(expr, msg) ((void)0)
-#else
 #define CILKM_CHECK(expr, msg)                                        \
   ((expr) ? (void)0                                                   \
           : ::cilkm::detail::assert_fail(#expr, __FILE__, __LINE__, msg))
-#endif
 
 // Debug-only (NDEBUG-gated) heavier checks.
 #ifdef NDEBUG

@@ -3,10 +3,10 @@
 // Parallel Random-Number Generation for Dynamic-Multithreading Platforms").
 // A draw hashes the calling strand's spawn pedigree (runtime/pedigree.hpp),
 // so its value is a pure function of (seed, pedigree): identical at every
-// worker count, view-store policy, steal-batch setting, and steal schedule,
-// and identical to the serial elision. This is what lets randomized
-// workloads double as determinism regression tests — a failing draw
-// sequence replays from the seed alone.
+// worker count, view-store policy and steal schedule, and identical to the
+// serial elision. This is what lets randomized workloads double as
+// determinism regression tests — a failing draw sequence replays from the
+// seed alone.
 //
 // DotMix, concretely: compress the rank vector [r_leaf, …, r_root] into one
 // word with a seeded dot product modulo the prime p = 2^64 − 59,

@@ -1,10 +1,13 @@
-// Timing-sample statistics and strict integer parsing, shared by the
-// figure benches (bench/harness.hpp) and the cilkm_run workload driver.
+// Timing-sample statistics for the figure benches (bench/harness.hpp), and
+// the strict integer parse behind every count and seed flag: the benches'
+// flag_int and the cilkm_run workload driver's flags.
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -27,8 +30,7 @@ inline double median(std::vector<double> samples) {
 }
 
 /// Mean/median/population-stddev of a sample set — the one definition of
-/// these statistics behind the figure benches (via bench::repeat) and the
-/// workload driver's per-cell samples.
+/// these statistics behind the figure benches (via bench::repeat).
 inline RunStat stats_of(std::vector<double> samples) {
   RunStat out;
   if (samples.empty()) return out;
@@ -43,12 +45,22 @@ inline RunStat stats_of(std::vector<double> samples) {
   return out;
 }
 
-/// Strict base-10 parse: the whole string must be one integer. Rejects the
-/// silent results std::atol gives for garbage like "abc" or "12abc".
-inline bool parse_long_strict(const char* text, long* out) {
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0') return false;
+/// Strict integer parse: all of `text` must be one integer, decimal or
+/// 0x-prefixed hex, that T can hold. It rejects what strtol and strtoull let
+/// through: trailing garbage ("12abc"), a negative value for an unsigned T
+/// ("-1", which strtoull wraps to 2^64-1), and a value past T's range
+/// ("99999999999999999999", which they saturate and a cast then wraps).
+template <typename T>
+bool parse_int(std::string_view text, T* out) {
+  int base = 10;
+  if (text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X')) {
+    base = 16;
+    text.remove_prefix(2);
+  }
+  const char* end = text.data() + text.size();
+  T v{};
+  const auto [stop, ec] = std::from_chars(text.data(), end, v, base);
+  if (ec != std::errc{} || stop != end) return false;
   *out = v;
   return true;
 }

@@ -1,12 +1,16 @@
-// Test-and-test-and-set spinlock. Used for the Figure 1 locking comparison
-// and for the deque's THE-protocol exceptional path.
+// Test-and-test-and-set spinlock, and the pause hint every spin loop in the
+// runtime uses. The lock guards the internal pools' shards.
 #pragma once
 
 #include <atomic>
 
 namespace cilkm {
 
-/// TTAS spinlock with exponential-free polite spinning (pause on x86).
+/// Pause hint for spin loops: keeps the core's speculation machinery (and a
+/// hyperthread sibling) out of the way without yielding the time slice.
+inline void cpu_relax() noexcept { __builtin_ia32_pause(); }
+
+/// TTAS spinlock with exponential-free polite spinning.
 /// Satisfies Lockable, so it composes with std::lock_guard.
 class SpinLock {
  public:
@@ -23,14 +27,6 @@ class SpinLock {
   }
 
   void unlock() noexcept { flag_.store(false, std::memory_order_release); }
-
-  static void cpu_relax() noexcept {
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#else
-    std::atomic_signal_fence(std::memory_order_seq_cst);
-#endif
-  }
 
  private:
   std::atomic<bool> flag_{false};

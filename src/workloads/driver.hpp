@@ -1,13 +1,16 @@
-// The cilkm_run driver, as a library so the tests can reuse the cell-matrix
-// runner. A "cell" is one (workload × view-store policy × worker count)
-// execution; every cell self-verifies against its serial reference, and the
-// matrix run prints one console row per cell with its timing.
+// The cilkm_run driver, as a library so the tests can reuse the cell
+// runner. A "cell" is one self-verifying run on one pool: a matrix cell
+// (workload × view-store policy × worker count) or, under --fuzz, one
+// composite of the scenario fuzzer. Both modes run every cell through the
+// same path and print one console row per cell with its timing.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "chaos/chaos.hpp"
 #include "runtime/scheduler.hpp"
 #include "workloads/workload.hpp"
 
@@ -16,32 +19,26 @@ namespace cilkm::workloads {
 struct DriverOptions {
   std::vector<std::string> workload_names;  // empty = every registered one
   std::vector<PolicyKind> policies;         // empty = both
-  std::vector<unsigned> workers;            // empty = {1, 2, hw_concurrency}
+  /// Empty = {1, 2, hw_concurrency}; under --fuzz, {1, 2, 4}.
+  std::vector<unsigned> workers;
   unsigned scale = 1;
+  /// --seed: every input generator's seed; under --fuzz, the sweep's base
+  /// seed (composite i is drawn from seed + i).
   std::uint64_t seed = RunConfig{}.seed;
-  int reps = 1;                // timing repetitions per cell (median reported)
   bool list_only = false;
   bool help = false;           // --help: print usage and exit successfully
-  /// --fuzz: run the seed-replayable scenario fuzzer (workloads/fuzzer.hpp)
-  /// instead of the cell matrix. --fuzz-seed sets the sweep's base seed,
-  /// --fuzz-iters the composite count; --policy/--workers/--scale restrict
-  /// the composite space the same way they restrict the matrix.
+  /// --fuzz: run --fuzz-iters composites of the seed-replayable scenario
+  /// fuzzer (workloads/fuzzer.hpp) instead of the workload matrix;
+  /// --policy/--workers/--scale restrict the composite space the same way
+  /// they restrict the matrix.
   bool fuzz = false;
-  std::uint64_t fuzz_seed = RunConfig{}.seed;
   int fuzz_iters = 25;
-  /// --chaos P: arm deterministic fault injection (src/chaos/) at per-consult
-  /// probability P for the whole matrix (or fuzz sweep). --chaos-seed keys
-  /// the pedigree DPRNG (0 = derive from --seed / --fuzz-seed); --chaos-sites
-  /// restricts the site mask ("alloc,fiber,push,…" or "faults"/"delays"/
-  /// "all"). Reps aborted by an injected allocator OOM are annotated, not
-  /// counted as verification failures. --watchdog-ms N arms the scheduler's
-  /// stalled-run watchdog (SchedulerOptions::watchdog_ms).
-  bool chaos = false;
-  double chaos_p = 0.02;
-  std::uint64_t chaos_seed = 0;
-  std::uint32_t chaos_sites = 0;
-  /// Settings of every pool run_matrix builds, the fuzzer's included:
-  /// --pin and --watchdog-ms.
+  /// --chaos P / --chaos-seed / --chaos-sites: deterministic fault injection
+  /// (src/chaos/), armed for the whole run when p > 0. A zero seed derives
+  /// one from --seed. Cells aborted by an injected allocator OOM are
+  /// annotated, not counted as verification failures.
+  chaos::Config chaos;
+  /// Settings of every pool the driver builds: --pin and --watchdog-ms.
   rt::SchedulerOptions sched;
   /// --profile: enable the work/span profiler and print one "profile:" line
   /// under each cell (work, span, parallelism, burdened span/parallelism —
@@ -52,20 +49,32 @@ struct DriverOptions {
   std::string trace_out;
 };
 
+/// One cell to run: the label of its row, the pool size it needs, the seed
+/// its inputs come from, and the body that runs it on cfg.scheduler and
+/// verifies it.
+struct Cell {
+  std::string name;  // the workload, or the composite's seed, monoid, shape
+  PolicyKind policy;
+  unsigned workers;
+  std::uint64_t seed;  // --seed, or the composite's own seed under --fuzz
+  std::function<RunResult(const RunConfig&)> run;
+};
+
 /// {1, 2, hardware_concurrency}, deduplicated and sorted.
 std::vector<unsigned> default_worker_counts();
 
 /// Parse cilkm_run flags. Returns false (after printing usage to stderr) on
-/// unknown flags or unparseable values — including trailing flags with no
-/// value and non-numeric or out-of-range numbers. --help sets out->help;
-/// callers should then exit 0 without running anything.
+/// unknown flags, unparseable values — including trailing flags with no
+/// value and non-numeric or out-of-range numbers — and matrix-only flags
+/// (--workload, --list) under --fuzz. --help sets out->help; callers
+/// should then exit 0 without running anything.
 bool parse_driver_options(int argc, char** argv, DriverOptions* out);
 
-/// Execute the selected cell matrix: prints one table row per cell, writes
-/// no file except the --trace-out trace, and returns the number of cells
-/// whose verify() failed (0 = everything checked out). One persistent
-/// Scheduler per worker count is reused across all workloads, policies, and
-/// reps.
+/// Run the selected cells — the workload matrix, or the fuzz sweep under
+/// opts.fuzz — one row each, on one persistent Scheduler per worker count.
+/// Writes no file except the --trace-out trace and, when a composite
+/// fails, the fuzzer's replay list. Returns the number of cells that
+/// failed verification (0 = everything checked out).
 int run_matrix(const DriverOptions& opts);
 
 }  // namespace cilkm::workloads

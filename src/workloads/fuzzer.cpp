@@ -9,21 +9,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <map>
-#include <memory>
-#include <new>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "chaos/chaos.hpp"
 #include "reducers/reducers.hpp"
 #include "runtime/api.hpp"
 #include "runtime/pedigree.hpp"
-#include "runtime/scheduler.hpp"
 #include "util/dprng.hpp"
 #include "util/rng.hpp"
 
@@ -90,7 +83,7 @@ struct Scenario {
   int draws = 1;       // DPRNG draws folded in per leaf strand
 };
 
-Scenario draw_scenario(std::uint64_t seed, const FuzzOptions& opts) {
+Scenario draw_scenario(std::uint64_t seed, const DriverOptions& opts) {
   std::uint64_t state = seed;
   auto pick = [&state](std::uint64_t bound) {
     return static_cast<std::uint64_t>(
@@ -113,7 +106,7 @@ Scenario draw_scenario(std::uint64_t seed, const FuzzOptions& opts) {
   sc.workers = workers[pick(workers.size())];
 
   // An unused draw: dropping it would shift every draw below and change
-  // the composite each recorded --fuzz-seed replays.
+  // the composite each recorded seed replays.
   (void)pick(2);
   sc.n = static_cast<std::int64_t>(200 + pick(1800)) *
          static_cast<std::int64_t>(std::max(1u, opts.scale));
@@ -224,8 +217,7 @@ std::string hex(std::uint64_t v) {
 // ------------------------------------------------------------ the composite
 
 template <typename M, typename Policy>
-bool run_composite(const Scenario& sc, rt::Scheduler* pool,
-                   std::string* detail) {
+RunResult run_composite(const Scenario& sc, const RunConfig& cfg) {
   using T = typename M::value_type;
 
   // Serial elision: same shape, same DPRNG, plain accumulator, no scheduler.
@@ -240,154 +232,54 @@ bool run_composite(const Scenario& sc, rt::Scheduler* pool,
 
   reducer<M, Policy> red;
   Dprng rng(sc.seed);
-  bool chaos_oom = false;
-  try {
-    pool->run([&] {
-      run_shape(sc, rng, [&] {
-        for (int d = 0; d < sc.draws; ++d)
-          apply_draw<M>(red.view(), rng.next());
-      });
+  RunResult out;
+  out.seconds = run_cell(cfg, [&] {
+    run_shape(sc, rng, [&] {
+      for (int d = 0; d < sc.draws; ++d) apply_draw<M>(red.view(), rng.next());
     });
-  } catch (const std::bad_alloc&) {
-    // An armed kAllocRefill site injected an OOM; the run aborted cleanly
-    // through the JoinFrame::eptr join protocol and the pool is reusable
-    // (the next composite proves it). The partial reduction can't be
-    // verified, so the composite passes on the degradation property alone.
-    if (!chaos::enabled()) throw;
-    chaos_oom = true;
-  }
-  if (chaos_oom) {
-    *detail = "chaos-oom (injected allocator failure; verify skipped)";
-    return true;
-  }
+  });
 
   const T& got = red.get_value();
-  if (got == expect) {
-    detail->clear();
-    return true;
-  }
-  *detail = "digest " + hex(digest(got)) + " != serial " + hex(digest(expect));
-  return false;
+  out.verified = got == expect;
+  out.detail = out.verified ? "matches its serial elision"
+                            : "digest " + hex(digest(got)) + " != serial " +
+                                  hex(digest(expect));
+  return out;
 }
 
 template <typename Policy>
-bool dispatch_monoid(const Scenario& sc, rt::Scheduler* pool,
-                     std::string* detail) {
+RunResult dispatch_monoid(const Scenario& sc, const RunConfig& cfg) {
   switch (sc.monoid) {
     case MonoidKind::kAdd:
-      return run_composite<op_add<std::uint64_t>, Policy>(sc, pool, detail);
+      return run_composite<op_add<std::uint64_t>, Policy>(sc, cfg);
     case MonoidKind::kXor:
-      return run_composite<op_xor<std::uint64_t>, Policy>(sc, pool, detail);
+      return run_composite<op_xor<std::uint64_t>, Policy>(sc, cfg);
     case MonoidKind::kMin:
-      return run_composite<op_min<std::uint64_t>, Policy>(sc, pool, detail);
+      return run_composite<op_min<std::uint64_t>, Policy>(sc, cfg);
     case MonoidKind::kMax:
-      return run_composite<op_max<std::uint64_t>, Policy>(sc, pool, detail);
+      return run_composite<op_max<std::uint64_t>, Policy>(sc, cfg);
     case MonoidKind::kString:
-      return run_composite<string_concat, Policy>(sc, pool, detail);
+      return run_composite<string_concat, Policy>(sc, cfg);
     case MonoidKind::kVector:
-      return run_composite<vector_concat<std::uint64_t>, Policy>(sc, pool,
-                                                                 detail);
+      return run_composite<vector_concat<std::uint64_t>, Policy>(sc, cfg);
     case MonoidKind::kMapUnion:
-      return run_composite<FuzzMap, Policy>(sc, pool, detail);
+      return run_composite<FuzzMap, Policy>(sc, cfg);
   }
-  *detail = "unreachable monoid";
-  return false;
-}
-
-bool run_scenario(const Scenario& sc, rt::Scheduler* pool,
-                  std::string* detail) {
-  switch (sc.policy) {
-    case PolicyKind::kMm: return dispatch_monoid<mm_policy>(sc, pool, detail);
-    case PolicyKind::kHypermap:
-      return dispatch_monoid<hypermap_policy>(sc, pool, detail);
-  }
-  *detail = "unreachable policy";
-  return false;
+  return {false, 0, "unreachable monoid"};
 }
 
 }  // namespace
 
-int run_fuzz(const FuzzOptions& opts) {
-  // Pools are keyed by worker count and reused across composites, mirroring
-  // run_matrix's warm-pool discipline.
-  std::map<unsigned, std::unique_ptr<rt::Scheduler>> pools;
-
-  std::printf("fuzz sweep: base seed %s, %d composite(s), scale %u\n",
-              hex(opts.seed).c_str(), opts.iters, std::max(1u, opts.scale));
-  if (opts.chaos) {
-    chaos::Config ccfg;
-    ccfg.p = opts.chaos_p;
-    ccfg.seed = opts.chaos_seed;
-    if (ccfg.seed == 0) {
-      // Derive deterministically from the sweep's base seed, so plain
-      // `--fuzz --chaos P` replays bit-for-bit without a second flag.
-      std::uint64_t s = opts.seed;
-      ccfg.seed = splitmix64(s);
-    }
-    if (opts.chaos_sites != 0) ccfg.sites = opts.chaos_sites;
-    chaos::arm(ccfg);
-    std::printf("  chaos: armed p=%g seed=%s sites=0x%x\n", ccfg.p,
-                hex(ccfg.seed).c_str(), ccfg.sites);
-  }
-  std::FILE* artifact = nullptr;
-  int failures = 0;
-  for (int i = 0; i < opts.iters; ++i) {
-    const Scenario sc =
-        draw_scenario(opts.seed + static_cast<std::uint64_t>(i), opts);
-
-    auto& pool = pools[sc.workers];
-    if (pool == nullptr) {
-      pool = std::make_unique<rt::Scheduler>(sc.workers, opts.sched);
-    }
-
-    std::string detail;
-    const bool ok = run_scenario(sc, pool.get(), &detail);
-    std::printf("  %-20s %-13s %-14s %-9s P=%u %s%s%s\n",
-                hex(sc.seed).c_str(), monoid_name(sc.monoid),
-                shape_name(sc.shape), policy_name(sc.policy), sc.workers,
-                ok ? "ok" : "FAIL", detail.empty() ? "" : "  ", detail.c_str());
-
-    if (!ok) {
-      ++failures;
-      if (artifact == nullptr) {
-        artifact = std::fopen(kFuzzFailureArtifact, "w");
-      }
-      if (artifact != nullptr) {
-        std::fprintf(artifact,
-                     "cilkm_run --fuzz --fuzz-seed %s --fuzz-iters 1"
-                     "  # %s x %s, policy %s, P=%u: %s\n",
-                     hex(sc.seed).c_str(), monoid_name(sc.monoid),
-                     shape_name(sc.shape), policy_name(sc.policy), sc.workers,
-                     detail.c_str());
-      }
-    }
-  }
-  if (artifact != nullptr) std::fclose(artifact);
-
-  if (opts.chaos) {
-    for (unsigned s = 0; s < chaos::kNumSites; ++s) {
-      const auto site = static_cast<chaos::Site>(s);
-      const chaos::SiteStats st = chaos::site_stats(site);
-      if (st.consults == 0) continue;
-      std::printf("  chaos: %-8s consults=%llu injected=%llu digest=%s\n",
-                  chaos::to_string(site),
-                  static_cast<unsigned long long>(st.consults),
-                  static_cast<unsigned long long>(st.injected),
-                  hex(st.digest).c_str());
-    }
-    chaos::disarm();
-  }
-
-  if (failures != 0) {
-    std::fprintf(stderr,
-                 "fuzz: %d of %d composite(s) FAILED; replay commands "
-                 "written to %s\n",
-                 failures, opts.iters, kFuzzFailureArtifact);
-  } else {
-    std::printf("fuzz: all %d composite(s) match their serial elisions\n",
-                opts.iters);
-  }
-  return failures;
+Cell fuzz_cell(std::uint64_t seed, const DriverOptions& opts) {
+  const Scenario sc = draw_scenario(seed, opts);
+  char name[64];
+  std::snprintf(name, sizeof name, "%-18s %-13s %-14s", hex(sc.seed).c_str(),
+                monoid_name(sc.monoid), shape_name(sc.shape));
+  return {name, sc.policy, sc.workers, seed, [sc](const RunConfig& cfg) {
+            return sc.policy == PolicyKind::kMm
+                       ? dispatch_monoid<mm_policy>(sc, cfg)
+                       : dispatch_monoid<hypermap_policy>(sc, cfg);
+          }};
 }
 
 }  // namespace cilkm::workloads

@@ -5,17 +5,14 @@
 
 #include "runtime/scheduler.hpp"
 #include "util/assert.hpp"
+#include "util/timing.hpp"
 
 namespace cilkm::workloads {
 
-void run_cell(const RunConfig& cfg, std::function<void()> root) {
-  if (cfg.scheduler != nullptr) {
-    CILKM_CHECK(cfg.scheduler->num_workers() == cfg.workers,
-                "run_cell: pool size does not match cfg.workers");
-    cfg.scheduler->run(std::move(root));
-  } else {
-    rt::run(cfg.workers, std::move(root));
-  }
+double run_cell(const RunConfig& cfg, std::function<void()> root) {
+  const auto t0 = now_ns();
+  cfg.scheduler->run(std::move(root));
+  return static_cast<double>(now_ns() - t0) / 1e9;
 }
 
 // One hook per workload file, called in a fixed order so --list and the test

@@ -7,7 +7,6 @@
 #include "reducers/extras.hpp"
 #include "reducers/reducers.hpp"
 #include "runtime/api.hpp"
-#include "util/timing.hpp"
 #include "workloads/workload.hpp"
 
 namespace cilkm::workloads {
@@ -26,15 +25,14 @@ struct ArgMinMax {
     min_index_reducer<std::int64_t, std::uint64_t, Policy> lo;
     max_index_reducer<std::int64_t, std::uint64_t, Policy> hi;
 
-    const auto t0 = now_ns();
-    run_cell(cfg, [&] {
+    RunResult out;
+    out.seconds = run_cell(cfg, [&] {
       parallel_for(0, n, 2048, [&](std::int64_t i) {
         const std::uint64_t v = value_at(cfg.seed, i);
         op_min_index<std::int64_t, std::uint64_t>::update(lo.view(), i, v);
         op_max_index<std::int64_t, std::uint64_t>::update(hi.view(), i, v);
       });
     });
-    const auto t1 = now_ns();
 
     indexed_value<std::int64_t, std::uint64_t> expect_lo, expect_hi;
     for (std::int64_t i = 0; i < n; ++i) {
@@ -43,9 +41,6 @@ struct ArgMinMax {
       op_max_index<std::int64_t, std::uint64_t>::update(expect_hi, i, v);
     }
 
-    RunResult out;
-    out.seconds = static_cast<double>(t1 - t0) / 1e9;
-    out.items = static_cast<std::uint64_t>(n);
     out.verified =
         lo.get_value() == expect_lo && hi.get_value() == expect_hi;
     out.detail =

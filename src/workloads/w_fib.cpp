@@ -6,7 +6,6 @@
 
 #include "reducers/reducers.hpp"
 #include "runtime/api.hpp"
-#include "util/timing.hpp"
 #include "workloads/workload.hpp"
 
 namespace cilkm::workloads {
@@ -46,16 +45,12 @@ struct Fib {
 
     reducer_opadd<std::uint64_t, Policy> leaves;
     std::uint64_t value = 0;
-    const auto t0 = now_ns();
-    run_cell(cfg, [&] { value = fib<Policy>(n, leaves); });
-    const auto t1 = now_ns();
+    RunResult out;
+    out.seconds = run_cell(cfg, [&] { value = fib<Policy>(n, leaves); });
 
     std::uint64_t expect_leaves = 0;
     const std::uint64_t expect_value = serial_fib(n, &expect_leaves);
 
-    RunResult out;
-    out.seconds = static_cast<double>(t1 - t0) / 1e9;
-    out.items = expect_leaves;
     out.verified =
         value == expect_value && leaves.get_value() == expect_leaves;
     out.detail = out.verified

@@ -8,7 +8,6 @@
 
 #include "reducers/reducers.hpp"
 #include "runtime/api.hpp"
-#include "util/timing.hpp"
 #include "workloads/workload.hpp"
 
 namespace cilkm::workloads {
@@ -36,8 +35,8 @@ struct Histogram {
     }
     reducer_max<std::uint64_t, Policy> largest;
 
-    const auto t0 = now_ns();
-    run_cell(cfg, [&] {
+    RunResult out;
+    out.seconds = run_cell(cfg, [&] {
       parallel_for(0, n, 1024, [&](std::int64_t i) {
         const std::uint64_t v =
             mix(cfg.seed + static_cast<std::uint64_t>(i));
@@ -46,7 +45,6 @@ struct Histogram {
         if (v > view) view = v;
       });
     });
-    const auto t1 = now_ns();
 
     std::vector<std::uint64_t> expect(kBuckets, 0);
     std::uint64_t expect_largest = 0;
@@ -64,9 +62,6 @@ struct Histogram {
     }
     ok = ok && total == static_cast<std::uint64_t>(n);
 
-    RunResult out;
-    out.seconds = static_cast<double>(t1 - t0) / 1e9;
-    out.items = static_cast<std::uint64_t>(n);
     out.verified = ok;
     out.detail = ok ? std::to_string(kBuckets) +
                           " bucket counts and the max all match"

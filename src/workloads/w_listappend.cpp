@@ -14,7 +14,6 @@
 #include "runtime/api.hpp"
 #include "runtime/pedigree.hpp"
 #include "util/dprng.hpp"
-#include "util/timing.hpp"
 #include "workloads/workload.hpp"
 
 namespace cilkm::workloads {
@@ -47,11 +46,10 @@ struct ListAppend {
 
     list_append_reducer<Entry, Policy> list;
     Dprng rng(cfg.seed);
-    const auto t0 = now_ns();
-    run_cell(cfg, [&] {
+    RunResult out;
+    out.seconds = run_cell(cfg, [&] {
       append_loop(n, rng, [&](Entry e) { list.view().push_back(e); });
     });
-    const auto t1 = now_ns();
 
     const std::list<Entry>& got = list.get_value();
     bool same = got.size() == expect.size();
@@ -65,9 +63,6 @@ struct ListAppend {
       }
     }
 
-    RunResult out;
-    out.seconds = static_cast<double>(t1 - t0) / 1e9;
-    out.items = static_cast<std::uint64_t>(expect.size());
     out.verified = same;
     out.detail = same ? std::to_string(expect.size()) +
                             " appends in exact serial order with serial draws"

@@ -6,7 +6,6 @@
 
 #include "reducers/reducers.hpp"
 #include "runtime/api.hpp"
-#include "util/timing.hpp"
 #include "workloads/workload.hpp"
 
 namespace cilkm::workloads {
@@ -82,19 +81,15 @@ struct NQueens {
 
     reducer_opadd<long, Policy> count;
     vector_reducer<std::uint64_t, Policy> solutions;
-    const auto t0 = now_ns();
-    run_cell(cfg, [&] {
+    RunResult out;
+    out.seconds = run_cell(cfg, [&] {
       solve<Policy>(Board{{}, n}, 0, n, count, solutions);
     });
-    const auto t1 = now_ns();
 
     long expect_count = 0;
     std::vector<std::uint64_t> expect_solutions;
     serial_solve(Board{{}, n}, 0, n, expect_count, expect_solutions);
 
-    RunResult out;
-    out.seconds = static_cast<double>(t1 - t0) / 1e9;
-    out.items = static_cast<std::uint64_t>(expect_count);
     out.verified = count.get_value() == expect_count &&
                    solutions.get_value() == expect_solutions;
     out.detail = out.verified

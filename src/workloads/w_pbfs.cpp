@@ -6,7 +6,6 @@
 
 #include "pbfs/pbfs.hpp"
 #include "runtime/api.hpp"
-#include "util/timing.hpp"
 #include "workloads/workload.hpp"
 
 namespace cilkm::workloads {
@@ -23,13 +22,9 @@ struct Pbfs {
     const auto expect = serial_bfs(g, 0);
 
     BfsResult got;
-    const auto t0 = now_ns();
-    run_cell(cfg, [&] { got = pbfs<Policy>(g, 0); });
-    const auto t1 = now_ns();
-
     RunResult out;
-    out.seconds = static_cast<double>(t1 - t0) / 1e9;
-    out.items = g.num_edges();
+    out.seconds = run_cell(cfg, [&] { got = pbfs<Policy>(g, 0); });
+
     out.verified =
         got.dist == expect.dist && got.num_layers == expect.num_layers;
     out.detail =

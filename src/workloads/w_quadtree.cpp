@@ -13,7 +13,6 @@
 #include "runtime/pedigree.hpp"
 #include "util/dprng.hpp"
 #include "util/rng.hpp"
-#include "util/timing.hpp"
 #include "workloads/workload.hpp"
 
 namespace cilkm::workloads {
@@ -129,16 +128,12 @@ struct QuadTree {
     reducer<op_add<std::uint64_t>, Policy> weighted;
     reducer<op_add<std::uint64_t>, Policy> leaves;
     Dprng rng(cfg.seed);
-    const auto t0 = now_ns();
-    run_cell(cfg, [&] {
+    RunResult out;
+    out.seconds = run_cell(cfg, [&] {
       ReducerSink<Policy> sink{&sig_xor, &weighted, &leaves};
       build_node(points, 0, 0, 1u << 15, 0, rng, sink);
     });
-    const auto t1 = now_ns();
 
-    RunResult out;
-    out.seconds = static_cast<double>(t1 - t0) / 1e9;
-    out.items = static_cast<std::uint64_t>(n);
     out.verified = sig_xor.get_value() == expect.sig_xor &&
                    weighted.get_value() == expect.weighted &&
                    leaves.get_value() == expect.leaves;

@@ -11,7 +11,6 @@
 #include "reducers/reducers.hpp"
 #include "runtime/api.hpp"
 #include "util/rng.hpp"
-#include "util/timing.hpp"
 #include "workloads/workload.hpp"
 
 namespace cilkm::workloads {
@@ -46,8 +45,8 @@ struct SampleSort {
           std::make_unique<vector_reducer<std::uint64_t, Policy>>());
     }
 
-    const auto t0 = now_ns();
-    run_cell(cfg, [&] {
+    RunResult out;
+    out.seconds = run_cell(cfg, [&] {
       parallel_for(0, static_cast<std::int64_t>(n), 1024,
                    [&](std::int64_t i) {
                      const std::uint64_t v =
@@ -65,13 +64,12 @@ struct SampleSort {
     for (unsigned b = 0; b < kBuckets; ++b) {
       sorted[b] = buckets[b]->move_value();
     }
-    run_cell(cfg, [&] {
+    out.seconds += run_cell(cfg, [&] {
       parallel_for(0, kBuckets, 1, [&](std::int64_t b) {
         std::sort(sorted[static_cast<std::size_t>(b)].begin(),
                   sorted[static_cast<std::size_t>(b)].end());
       });
     });
-    const auto t1 = now_ns();
 
     std::vector<std::uint64_t> result;
     result.reserve(n);
@@ -82,9 +80,6 @@ struct SampleSort {
     std::vector<std::uint64_t> expect = input;
     std::sort(expect.begin(), expect.end());
 
-    RunResult out;
-    out.seconds = static_cast<double>(t1 - t0) / 1e9;
-    out.items = n;
     out.verified = result == expect;
     out.detail = out.verified
                      ? std::to_string(n) + " elements sorted across " +

@@ -15,7 +15,6 @@
 #include "runtime/pedigree.hpp"
 #include "util/dprng.hpp"
 #include "util/rng.hpp"
-#include "util/timing.hpp"
 #include "workloads/workload.hpp"
 
 namespace cilkm::workloads {
@@ -81,24 +80,18 @@ struct StreamCount {
 
     reducer<StreamMonoid, Policy> counts;
     std::vector<std::uint64_t> checkpoints;
-    double seconds = 0;
+    RunResult out;
     for (int wave = 0; wave < kWaves; ++wave) {
       Dprng rng(wave_seed(cfg.seed, wave));
-      const auto t0 = now_ns();
-      run_cell(cfg, [&] {
+      out.seconds += run_cell(cfg, [&] {
         wave_loop(requests, rng,
                   [&](const char* word) { ++counts.view()[word]; });
       });
-      const auto t1 = now_ns();
-      seconds += static_cast<double>(t1 - t0) / 1e9;
       // Between waves the stream is quiescent: the reducer's leftmost view
       // IS the cumulative state, checkpointable without ending its life.
       checkpoints.push_back(checksum(counts.view()));
     }
 
-    RunResult out;
-    out.seconds = seconds;
-    out.items = static_cast<std::uint64_t>(requests) * kWaves;
     out.verified =
         checkpoints == expect_checkpoints && counts.get_value() == expect;
     out.detail =

@@ -5,7 +5,6 @@
 
 #include "reducers/reducers.hpp"
 #include "runtime/api.hpp"
-#include "util/timing.hpp"
 #include "workloads/workload.hpp"
 
 namespace cilkm::workloads {
@@ -19,18 +18,14 @@ struct SumLoop {
     reducer_opadd<long long, Policy> sum;
     reducer_opmul<long long, Policy> parity;  // (-1)^N via repeated * -1
 
-    const auto t0 = now_ns();
-    run_cell(cfg, [&] {
+    RunResult out;
+    out.seconds = run_cell(cfg, [&] {
       parallel_for(1, n + 1, 4096, [&](std::int64_t i) {
         *sum += i;
         *parity *= -1;
       });
     });
-    const auto t1 = now_ns();
 
-    RunResult out;
-    out.seconds = static_cast<double>(t1 - t0) / 1e9;
-    out.items = static_cast<std::uint64_t>(n);
     const long long expect_sum = n * (n + 1) / 2;
     const long long expect_parity = (n % 2 == 0) ? 1 : -1;
     out.verified = sum.get_value() == expect_sum &&

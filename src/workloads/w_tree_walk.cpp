@@ -8,7 +8,6 @@
 #include "reducers/reducers.hpp"
 #include "runtime/api.hpp"
 #include "util/rng.hpp"
-#include "util/timing.hpp"
 #include "workloads/workload.hpp"
 
 namespace cilkm::workloads {
@@ -59,16 +58,12 @@ struct TreeWalk {
     Node* root = build(pool, 0, n, rng);
 
     list_append_reducer<const Node*, Policy> l;
-    const auto t0 = now_ns();
-    run_cell(cfg, [&] { walk<Policy>(root, l); });
-    const auto t1 = now_ns();
+    RunResult out;
+    out.seconds = run_cell(cfg, [&] { walk<Policy>(root, l); });
 
     std::list<const Node*> expect;
     serial_walk(root, expect);
 
-    RunResult out;
-    out.seconds = static_cast<double>(t1 - t0) / 1e9;
-    out.items = static_cast<std::uint64_t>(n);
     out.verified = l.get_value() == expect;
     out.detail = out.verified
                      ? std::to_string(expect.size()) +

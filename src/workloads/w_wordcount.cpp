@@ -9,7 +9,6 @@
 #include "reducers/reducers.hpp"
 #include "runtime/api.hpp"
 #include "util/rng.hpp"
-#include "util/timing.hpp"
 #include "workloads/workload.hpp"
 
 namespace cilkm::workloads {
@@ -61,22 +60,18 @@ struct WordCount {
     const auto corpus = synth_corpus(sentences, cfg.seed);
 
     reducer<WordCountMonoid, Policy> counts;
-    const auto t0 = now_ns();
-    run_cell(cfg, [&] {
+    RunResult out;
+    out.seconds = run_cell(cfg, [&] {
       parallel_for(0, static_cast<std::int64_t>(corpus.size()), 64,
                    [&](std::int64_t i) {
                      count_words(corpus[static_cast<std::size_t>(i)],
                                  counts.view());
                    });
     });
-    const auto t1 = now_ns();
 
     std::unordered_map<std::string, std::uint64_t> expect;
     for (const auto& s : corpus) count_words(s, expect);
 
-    RunResult out;
-    out.seconds = static_cast<double>(t1 - t0) / 1e9;
-    out.items = static_cast<std::uint64_t>(sentences);
     out.verified = counts.get_value() == expect;
     out.detail = out.verified
                      ? std::to_string(expect.size()) +

@@ -1,12 +1,11 @@
 // The workload subsystem: registered, self-checking scenarios exercised
 // across every reducer view-store policy. A Workload is (name, input-size
-// knob, one run function per policy); each run function executes the
-// parallel computation via run_cell — on the driver's persistent per-P
-// scheduler when one is supplied, else a fresh pool — and verifies the
-// outcome against a serial reference before returning, so every registered
-// scenario doubles
-// as a regression test. The cilkm_run driver (and tests/test_workloads.cpp)
-// sweep the full workload × policy × worker-count matrix.
+// knob, one run function per policy); each run function executes its
+// parallel sections via run_cell on the caller's persistent pool, which
+// also times them, and verifies the outcome against a serial reference
+// before returning, so every registered scenario doubles as a regression
+// test. The cilkm_run driver (and tests/test_workloads.cpp) sweep the full
+// workload × policy × worker-count matrix.
 #pragma once
 
 #include <cstdint>
@@ -40,28 +39,25 @@ bool parse_policy(const std::string& text, PolicyKind* out);
 /// feeds every pseudo-random input generator, so a cell is reproducible
 /// from (workload, policy, workers, scale, seed) alone.
 struct RunConfig {
-  unsigned workers = 4;
   unsigned scale = 1;
   std::uint64_t seed = kDefaultSeed;
-  /// Optional persistent worker pool to run on (must have `workers` workers).
-  /// The driver passes one pool per worker count so a cell's timing measures
-  /// the mechanism, not thread creation; null runs on a fresh pool.
+  /// The persistent worker pool the cell runs on; its worker count is the
+  /// cell's P. The driver keeps one pool per worker count, so a cell's
+  /// timing measures the mechanism, not thread creation.
   rt::Scheduler* scheduler = nullptr;
 };
 
-/// Execute `root` for one cell: on cfg.scheduler when provided (pool reuse
-/// across reps/policies), otherwise on a fresh cfg.workers-worker pool.
-/// Every workload body funnels its parallel section through this.
-void run_cell(const RunConfig& cfg, std::function<void()> root);
+/// Execute `root` on cfg.scheduler and return the wall-clock seconds it
+/// took. Every workload body funnels its parallel sections through this.
+double run_cell(const RunConfig& cfg, std::function<void()> root);
 
 /// Outcome of one cell. `verified` is the workload's self-check against its
-/// serial reference; `seconds` times only the parallel section (inside
-/// cilkm::run, excluding input generation and the serial oracle).
+/// serial reference; `seconds` sums its run_cell times, so it excludes
+/// input generation and the serial oracle.
 struct RunResult {
   bool verified = false;
   double seconds = 0;
-  std::uint64_t items = 0;  // workload-defined unit of work (elements, edges…)
-  std::string detail;       // human-readable outcome or failure reason
+  std::string detail;  // human-readable outcome or failure reason
 };
 
 using RunFn = RunResult (*)(const RunConfig&);

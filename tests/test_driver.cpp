@@ -1,13 +1,15 @@
 // The cilkm_run driver CLI and run_matrix behaviour: --help exits cleanly
-// without running the matrix, bad numeric values are rejected instead of
-// silently defaulted, and a matrix run writes no file. Plus the figure
-// benches' flag parser (bench/harness.hpp) and the sample statistics both
-// share (util/run_stat.hpp).
+// without running the matrix, bad or out-of-range numeric values are
+// rejected instead of silently defaulted or wrapped, a matrix run writes no
+// file, and a fuzz sweep gets the matrix's --profile and --trace-out. Plus
+// the figure benches' flag parser (bench/harness.hpp) and the sample
+// statistics behind it (util/run_stat.hpp).
 #include <gtest/gtest.h>
 
 #include <dirent.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -91,7 +93,7 @@ TEST(DriverCli, RejectsPartiallyNumericValues) {
   DriverOptions opts;
   EXPECT_FALSE(parse({"--scale", "12abc"}, &opts));
   DriverOptions opts2;
-  EXPECT_FALSE(parse({"--reps", "3x"}, &opts2));
+  EXPECT_FALSE(parse({"--fuzz-iters", "3x"}, &opts2));
   DriverOptions opts3;
   EXPECT_FALSE(parse({"--seed", "0xZZ"}, &opts3));
 }
@@ -100,6 +102,30 @@ TEST(DriverCli, RejectsNegativeSeed) {
   // strtoull would silently wrap "-1" to 2^64-1.
   DriverOptions opts;
   EXPECT_FALSE(parse({"--seed", "-1"}, &opts));
+}
+
+TEST(DriverCli, RejectsOutOfRangeCounts) {
+  // A count past its destination's range used to wrap (2^32+1 ran as 1) or
+  // saturate (10^20 ran as 2^32-1) instead of being rejected.
+  for (const char* flag : {"--scale", "--fuzz-iters", "--watchdog-ms"}) {
+    for (const char* value : {"4294967297", "100000000000000000000"}) {
+      DriverOptions opts;
+      EXPECT_FALSE(parse({flag, value}, &opts)) << flag << " " << value;
+    }
+  }
+}
+
+TEST(DriverCli, RejectsOutOfRangeSeeds) {
+  // strtoull saturated these to 2^64-1.
+  for (const char* flag : {"--seed", "--chaos-seed"}) {
+    for (const char* value : {"0x1ffffffffffffffff", "100000000000000000000"}) {
+      DriverOptions opts;
+      EXPECT_FALSE(parse({flag, value}, &opts)) << flag << " " << value;
+    }
+  }
+  DriverOptions max;
+  ASSERT_TRUE(parse({"--seed", "0xffffffffffffffff"}, &max));
+  EXPECT_EQ(max.seed, ~std::uint64_t{0});
 }
 
 TEST(DriverCli, TopologyFlagsParse) {
@@ -135,12 +161,12 @@ TEST(DriverCli, PinnedRestrictedMatrixRunsClean) {
 }
 
 TEST(DriverCliDeathTest, FuzzSweepHonoursTheWatchdog) {
-  // --watchdog-ms reaches the fuzzer's pools as it reaches the matrix's.
+  // --watchdog-ms reaches the pools a fuzz sweep runs its composites on.
   // At P=1 this composite runs for tens of milliseconds with no scheduling
   // progress after its root launch, far past the 1 ms stall window.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   DriverOptions opts;
-  ASSERT_TRUE(parse({"--fuzz", "--fuzz-seed", "0x5eed5eed5eed5ef5",
+  ASSERT_TRUE(parse({"--fuzz", "--seed", "0x5eed5eed5eed5ef5",
                      "--fuzz-iters", "1", "--workers", "1", "--scale", "200",
                      "--watchdog-ms", "1"},
                     &opts));
@@ -151,21 +177,41 @@ TEST(DriverCli, RejectsTrailingFlagWithNoValue) {
   DriverOptions opts;
   EXPECT_FALSE(parse({"--workers"}, &opts));
   DriverOptions opts2;
-  EXPECT_FALSE(parse({"--workload", "fib", "--reps"}, &opts2));
+  EXPECT_FALSE(parse({"--workload", "fib", "--seed"}, &opts2));
 }
 
 TEST(DriverCli, ParsesAValidCommandLine) {
   DriverOptions opts;
   ASSERT_TRUE(parse({"--workload", "fib", "--policy", "mm", "--workers",
-                     "1,2", "--scale", "2", "--reps", "3"},
+                     "1,2", "--scale", "2"},
                     &opts));
   EXPECT_EQ(opts.workload_names, std::vector<std::string>{"fib"});
   ASSERT_EQ(opts.workers.size(), 2u);
   EXPECT_EQ(opts.scale, 2u);
-  EXPECT_EQ(opts.reps, 3);
-  // The driver writes no JSON report, so the flag that named it is gone.
+  // The driver writes no JSON report, so the flag that named it is gone;
+  // every cell runs once, and --seed is also the fuzz sweep's base seed.
+  for (const char* flag : {"--figure", "--reps", "--fuzz-seed"}) {
+    DriverOptions opts2;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(parse({flag, "1"}, &opts2)) << flag;
+    EXPECT_NE(testing::internal::GetCapturedStderr().find("unknown flag"),
+              std::string::npos)
+        << flag;
+  }
+}
+
+TEST(DriverCli, FuzzRejectsMatrixOnlyFlags) {
+  // A sweep draws its own composites, so naming a workload or asking for
+  // the list under --fuzz is an error, not silently ignored.
+  DriverOptions opts;
+  EXPECT_FALSE(parse({"--fuzz", "--workload", "fib"}, &opts));
   DriverOptions opts2;
-  EXPECT_FALSE(parse({"--figure", "none"}, &opts2));
+  EXPECT_FALSE(parse({"--list", "--fuzz"}, &opts2));
+  DriverOptions opts3;
+  ASSERT_TRUE(parse({"--fuzz", "--seed", "7", "--fuzz-iters", "3"}, &opts3));
+  EXPECT_TRUE(opts3.fuzz);
+  EXPECT_EQ(opts3.seed, 7u);
+  EXPECT_EQ(opts3.fuzz_iters, 3);
 }
 
 TEST(DriverMatrix, MatrixRunWritesNoFiles) {
@@ -205,6 +251,23 @@ TEST(DriverMatrix, ProfileRowsEmittedInReport) {
       "  profile: work [0-9.]+ms span [0-9.]+ms parallelism [0-9.]+ "
       "burdened-span [0-9.]+ms burdened-parallelism [0-9.]+\n");
   EXPECT_TRUE(std::regex_search(out, cell_then_profile)) << out;
+
+  // A fuzz sweep takes the same path: a profile: line under every
+  // composite's row.
+  DriverOptions fuzz;
+  ASSERT_TRUE(parse({"--fuzz", "--fuzz-iters", "3", "--profile"}, &fuzz));
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(run_matrix(fuzz), 0);
+  const std::string fuzz_out = testing::internal::GetCapturedStdout();
+  const std::regex composite_then_profile(
+      "0x[0-9a-f]+ +[a-z_]+ +[a-z-]+ +(mm|hypermap) +[124] +ok[^\n]*\n"
+      "  profile: work [0-9.]+ms span [0-9.]+ms parallelism [0-9.]+ "
+      "burdened-span [0-9.]+ms burdened-parallelism [0-9.]+\n");
+  const auto rows = std::distance(
+      std::sregex_iterator(fuzz_out.begin(), fuzz_out.end(),
+                           composite_then_profile),
+      std::sregex_iterator());
+  EXPECT_EQ(rows, 3) << fuzz_out;
 }
 
 TEST(DriverMatrix, TraceOutWritesChromeTraceJson) {
@@ -222,6 +285,20 @@ TEST(DriverMatrix, TraceOutWritesChromeTraceJson) {
     EXPECT_NE(json.find("root_done"), std::string::npos);
     in.close();
     unlink("trace_test.json");
+
+    // Under --fuzz the trace covers the last composite.
+    DriverOptions fuzz;
+    ASSERT_TRUE(parse({"--fuzz", "--fuzz-iters", "2", "--workers", "2",
+                       "--trace-out", "trace_fuzz.json"},
+                      &fuzz));
+    EXPECT_EQ(run_matrix(fuzz), 0);
+    std::ifstream fuzz_in("trace_fuzz.json");
+    ASSERT_TRUE(fuzz_in.is_open());
+    const std::string fuzz_json((std::istreambuf_iterator<char>(fuzz_in)),
+                                std::istreambuf_iterator<char>());
+    EXPECT_NE(fuzz_json.find("\"schema\":\"cilkm-trace-v1\""),
+              std::string::npos);
+    EXPECT_NE(fuzz_json.find("root_done"), std::string::npos);
   });
 }
 
@@ -267,6 +344,30 @@ TEST(FlagInt, NegativeValueIsAHardError) {
   const char* argv[] = {"bench", "--reps", "-1"};
   EXPECT_EXIT(bench::flag_int(3, const_cast<char**>(argv), "--reps", 7),
               ::testing::ExitedWithCode(2), "bad value '-1' for --reps");
+}
+
+TEST(FlagInt, OutOfRangeValueIsAHardError) {
+  // Past the destination's range: 2^32+1 used to wrap to one rep, and 10^20
+  // to saturate.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* wraps[] = {"bench", "--reps", "4294967297"};
+  EXPECT_EXIT(bench::flag_int(3, const_cast<char**>(wraps), "--reps", 5, 1),
+              ::testing::ExitedWithCode(2),
+              "bad value '4294967297' for --reps");
+  const char* saturates[] = {"bench", "--lookups", "100000000000000000000"};
+  EXPECT_EXIT(bench::flag_int<std::uint64_t>(
+                  3, const_cast<char**>(saturates), "--lookups", 1 << 24),
+              ::testing::ExitedWithCode(2),
+              "bad value '100000000000000000000' for --lookups");
+}
+
+TEST(FlagInt, ZeroRepsIsAHardError) {
+  // fig09_speedup --reps 0 printed tables of -nan and exited 0.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* argv[] = {"bench", "--reps", "0"};
+  EXPECT_EXIT(bench::flag_int(3, const_cast<char**>(argv), "--reps", 3, 1),
+              ::testing::ExitedWithCode(2),
+              "bad value '0' for --reps \\(want an integer in \\[1, ");
 }
 
 TEST(FlagInt, UnreadFlagIsAHardError) {

@@ -5,6 +5,7 @@
 // victim ordering (including the dedup-within-a-round regression fix).
 #include <gtest/gtest.h>
 
+#include <sched.h>
 #include <unistd.h>
 
 #include <array>
@@ -23,10 +24,6 @@
 #include "test_support.hpp"
 #include "topo/placement.hpp"
 #include "topo/topology.hpp"
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 namespace {
 
@@ -290,7 +287,6 @@ TEST(Placement, OversubscriptionWrapsModuloTheCpuOrder) {
   EXPECT_EQ(cpus[8], cpus[0]);  // wrapped
 }
 
-#if defined(__linux__)
 TEST(Placement, PinCurrentThreadRestrictsAffinity) {
   cpu_set_t original;
   CPU_ZERO(&original);
@@ -309,7 +305,6 @@ TEST(Placement, PinCurrentThreadRestrictsAffinity) {
   // Restore so later tests see the original mask.
   ASSERT_EQ(sched_setaffinity(0, sizeof original, &original), 0);
 }
-#endif
 
 // ---------------------------------------------------------------------------
 // ParkingLot: batched and targeted wake-ups

@@ -78,7 +78,6 @@ TEST_P(WorkloadMatrix, CellVerifiesAgainstSerialReference) {
   SCOPED_TRACE(cilkm::test::seed_trace());
   const Cell& cell = GetParam();
   RunConfig cfg;
-  cfg.workers = cell.workers;
   cfg.scale = 1;
   cfg.seed = cilkm::test::base_seed();
   cfg.scheduler = shared_pool(cell.workers);
@@ -87,7 +86,7 @@ TEST_P(WorkloadMatrix, CellVerifiesAgainstSerialReference) {
       << cell.workload().name << " under "
       << cilkm::workloads::policy_name(cell.policy) << " with P="
       << cell.workers << ": " << result.detail;
-  EXPECT_GT(result.items, 0u);
+  EXPECT_GT(result.seconds, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCells, WorkloadMatrix,
@@ -117,8 +116,7 @@ TEST(WorkloadDriver, ParsesFlagsAndRejectsGarbage) {
   using cilkm::workloads::DriverOptions;
   const char* argv_ok[] = {"cilkm_run", "--workload", "pbfs",    "--policy",
                            "hypermap",  "--workers",  "1,2,4",   "--scale",
-                           "2",         "--seed",     "0x12345", "--reps",
-                           "3"};
+                           "2",         "--seed",     "0x12345"};
   DriverOptions opts;
   ASSERT_TRUE(cilkm::workloads::parse_driver_options(
       static_cast<int>(std::size(argv_ok)), const_cast<char**>(argv_ok),
@@ -129,7 +127,6 @@ TEST(WorkloadDriver, ParsesFlagsAndRejectsGarbage) {
   EXPECT_EQ(opts.workers, (std::vector<unsigned>{1, 2, 4}));
   EXPECT_EQ(opts.scale, 2u);
   EXPECT_EQ(opts.seed, 0x12345u);
-  EXPECT_EQ(opts.reps, 3);
 
   const char* argv_bad[] = {"cilkm_run", "--policy", "spaghetti"};
   DriverOptions bad;
