@@ -6,7 +6,7 @@
 // so cross-worker frees are part of the steady state, not a corner case).
 // Series:
 //
-//   pooled/pin     — InternalAlloc magazines, threads pinned + node-bound
+//   pooled/pin     — InternalAlloc magazines, threads pinned
 //   pooled/nopin   — InternalAlloc magazines, OS placement
 //   malloc/pin     — operator new/delete, threads pinned
 //   malloc/nopin   — operator new/delete, OS placement
@@ -46,9 +46,7 @@ void thread_body(const Mode& mode, unsigned tid, unsigned threads, long iters,
                  std::atomic<unsigned>& phase_barrier) {
   const cilkm::topo::Topology& topo = cilkm::topo::Topology::machine();
   if (mode.pin && topo.num_cpus() > 0) {
-    const unsigned cpu = topo.cpus()[tid % topo.num_cpus()].cpu;
-    cilkm::topo::pin_current_thread(cpu);
-    if (mode.pooled) cilkm::mem::InternalAlloc::bind_current_thread(cpu);
+    cilkm::topo::pin_current_thread(topo.cpus()[tid % topo.num_cpus()].cpu);
   }
   cilkm::mem::InternalAlloc& pool = cilkm::mem::InternalAlloc::instance();
   const auto tag = cilkm::mem::AllocTag::kViews;
@@ -129,8 +127,7 @@ int main(int argc, char** argv) {
 
   const cilkm::topo::Topology& topo = cilkm::topo::Topology::machine();
   std::printf("# Ablation: pooled (tagged magazines) vs malloc view churn\n");
-  std::printf("# machine: %s, shards=%u\n", topo.describe().c_str(),
-              cilkm::mem::InternalAlloc::instance().num_shards());
+  std::printf("# machine: %s\n", topo.describe().c_str());
   std::printf("%-14s %4s %12s %10s %10s %10s\n", "series", "T", "median_s",
               "Mops/s", "refills", "flushes");
 

@@ -9,12 +9,6 @@
 
 namespace cilkm::mem {
 
-InternalAlloc::InternalAlloc(const topo::Topology* topology)
-    : nodes_(topology != nullptr ? *topology : topo::Topology::machine()),
-      shards_(std::make_unique<Shard[]>(
-          static_cast<std::size_t>(nodes_.num_shards()) * kNumTags *
-          kNumClasses)) {}
-
 InternalAlloc::~InternalAlloc() {
 #ifndef NDEBUG
   // Teardown leak check (debug builds): report, never abort — long-lived
@@ -128,9 +122,9 @@ void InternalAlloc::refill(Magazine& mag, AllocTag tag, int cls) {
   const auto c = static_cast<std::size_t>(cls);
   reconcile(mag, tag);  // batch-exchange point: fold the stat deltas in
   counters_[t].refills.fetch_add(1, std::memory_order_relaxed);
-  Shard& s = shard(magazine_node(mag), tag, cls);
+  Shard& s = shard(tag, cls);
   {
-    // Grab a batch from the node's shard first.
+    // Grab a batch from the shard first.
     std::lock_guard guard(s.lock);
     std::size_t moved = 0;
     while (s.head != nullptr && moved < kBatch) {
@@ -192,7 +186,7 @@ void InternalAlloc::drain(Magazine& mag, AllocTag tag, int cls,
   if (batch_head == nullptr) return;
   FreeNode* batch_tail = batch_head;
   while (batch_tail->next != nullptr) batch_tail = batch_tail->next;
-  Shard& s = shard(magazine_node(mag), tag, cls);
+  Shard& s = shard(tag, cls);
   std::lock_guard guard(s.lock);
   batch_tail->next = s.head;
   s.head = batch_head;
@@ -200,7 +194,7 @@ void InternalAlloc::drain(Magazine& mag, AllocTag tag, int cls,
 }
 
 void* InternalAlloc::allocate_from_shard(AllocTag tag, int cls) {
-  Shard& s = shard(nodes_.current_shard(), tag, cls);
+  Shard& s = shard(tag, cls);
   {
     std::lock_guard guard(s.lock);
     if (s.head != nullptr) {
@@ -280,7 +274,7 @@ void InternalAlloc::deallocate(void* p, std::size_t bytes, AllocTag tag,
   auto* node = static_cast<FreeNode*>(p);
   if (mag == nullptr) {
     note_free(counters_[t], kClassSizes[static_cast<std::size_t>(cls)]);
-    Shard& s = shard(nodes_.current_shard(), tag, cls);
+    Shard& s = shard(tag, cls);
     std::lock_guard guard(s.lock);
     node->next = s.head;
     s.head = node;
@@ -323,12 +317,6 @@ void InternalAlloc::stats_sync() {
   }
 }
 
-void InternalAlloc::bind_current_thread(unsigned cpu) {
-  InternalAlloc& alloc = instance();
-  Magazine* mag = alloc.tls_magazine();
-  mag->node = static_cast<int>(alloc.shard_of_cpu(cpu));
-}
-
 TagStats InternalAlloc::tag_stats(AllocTag tag) const noexcept {
   const TagCounters& c = counters_[static_cast<std::size_t>(tag)];
   TagStats out;
@@ -343,10 +331,9 @@ TagStats InternalAlloc::tag_stats(AllocTag tag) const noexcept {
   return out;
 }
 
-std::size_t InternalAlloc::shard_cached(unsigned shard_idx, AllocTag tag,
-                                        int cls) const {
-  const Shard& s = shard(shard_idx, tag, cls);
-  std::lock_guard guard(const_cast<SpinLock&>(s.lock));
+std::size_t InternalAlloc::shard_cached(AllocTag tag, int cls) const {
+  Shard& s = const_cast<InternalAlloc*>(this)->shard(tag, cls);
+  std::lock_guard guard(s.lock);
   return s.count;
 }
 

@@ -13,11 +13,9 @@
 //   kGeneral        everything else
 //
 // Each thread holds a Magazine: free lists per (tag, class) exchanging
-// kBatch-sized batches with the global pool, which is sharded per NUMA node
-// (shard chosen from the worker's pinned CPU via topo::Topology; flat
-// single-shard fallback when there is one node). Chunks are carved on the
-// allocating thread, so first touch lands on the worker's node and mm views
-// stay node-local end to end.
+// kBatch-sized batches with one global pool, a spin-locked shard per
+// (tag, class). Chunks are carved on the allocating thread, so first touch
+// places their pages where that thread runs.
 //
 // Every tag keeps relaxed-atomic live/peak/refill counters (readable from
 // any thread — the stats surface of cilkm_run's mem: rows), and the
@@ -29,12 +27,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
 #include <string>
 #include <vector>
 
-#include "mem/node_map.hpp"
 #include "util/assert.hpp"
 #include "util/cache.hpp"
 #include "util/spinlock.hpp"
@@ -118,10 +114,6 @@ class InternalAlloc {
     Magazine(const Magazine&) = delete;
     Magazine& operator=(const Magazine&) = delete;
 
-    /// NUMA shard this magazine exchanges batches with; -1 (unpinned)
-    /// derives the shard from the current CPU at each refill/flush.
-    int node = -1;
-
    private:
     friend class InternalAlloc;
     /// Stat deltas accumulated with plain stores on the hot path and folded
@@ -138,10 +130,7 @@ class InternalAlloc {
     Pending pending[kNumTags] = {};
   };
 
-  /// `topology` = nullptr shards by the live machine's NUMA nodes; tests
-  /// inject canned topologies. The mapping is copied, so temporaries are
-  /// safe.
-  explicit InternalAlloc(const topo::Topology* topology = nullptr);
+  InternalAlloc() = default;
   ~InternalAlloc();
 
   InternalAlloc(const InternalAlloc&) = delete;
@@ -184,16 +173,6 @@ class InternalAlloc {
   /// Drain every list of `mag` to the global shards (worker teardown).
   void flush(Magazine& mag);
 
-  /// Bind the calling thread's instance() magazine to the shard owning
-  /// `cpu`. The scheduler calls this after pinning a worker, so every batch
-  /// exchange stays on the worker's node without per-refill CPU queries.
-  static void bind_current_thread(unsigned cpu);
-
-  unsigned num_shards() const noexcept { return nodes_.num_shards(); }
-  unsigned shard_of_cpu(unsigned cpu) const noexcept {
-    return nodes_.shard_of_cpu(cpu);
-  }
-
   /// Relaxed snapshot. Blocks moving through magazines fold their stat
   /// deltas in at batch-exchange granularity (refill/drain/flush/teardown);
   /// call stats_sync() first for exactness over the calling thread's
@@ -209,9 +188,9 @@ class InternalAlloc {
     return chunks_count_.load(std::memory_order_relaxed);
   }
 
-  /// Blocks sitting free in one global shard's (tag, class) list — a test
-  /// hook for shard-selection and batching assertions.
-  std::size_t shard_cached(unsigned shard, AllocTag tag, int cls) const;
+  /// Blocks sitting free in the global (tag, class) shard — a test hook
+  /// for batching assertions.
+  std::size_t shard_cached(AllocTag tag, int cls) const;
 
   /// Outstanding (allocated, never freed) blocks by tag. Clean iff every
   /// tag is balanced. The destructor runs this in debug builds and reports
@@ -251,18 +230,9 @@ class InternalAlloc {
   }
 
   Magazine* tls_magazine();
-  Shard& shard(unsigned node, AllocTag tag, int cls) noexcept {
-    return shards_[(static_cast<std::size_t>(node) * kNumTags +
-                    static_cast<std::size_t>(tag)) *
-                       kNumClasses +
-                   static_cast<std::size_t>(cls)];
-  }
-  const Shard& shard(unsigned node, AllocTag tag, int cls) const noexcept {
-    return const_cast<InternalAlloc*>(this)->shard(node, tag, cls);
-  }
-  unsigned magazine_node(const Magazine& mag) const noexcept {
-    return mag.node >= 0 ? static_cast<unsigned>(mag.node)
-                         : nodes_.current_shard();
+  Shard& shard(AllocTag tag, int cls) noexcept {
+    return shards_[static_cast<std::size_t>(tag)]
+                  [static_cast<std::size_t>(cls)];
   }
 
   void refill(Magazine& mag, AllocTag tag, int cls);
@@ -274,10 +244,7 @@ class InternalAlloc {
   static void note_alloc(TagCounters& c, std::size_t bytes) noexcept;
   static void note_free(TagCounters& c, std::size_t bytes) noexcept;
 
-  NodeMap nodes_;
-  // [node][tag][class], flattened. A plain array because Shard (SpinLock +
-  // intrusive list head) is deliberately immovable.
-  std::unique_ptr<Shard[]> shards_;
+  Shard shards_[kNumTags][kNumClasses];
   std::array<TagCounters, kNumTags> counters_;
 
   SpinLock chunk_lock_;

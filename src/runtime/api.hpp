@@ -214,8 +214,11 @@ class SpawnGroup {
 /// Convenience re-exports.
 using rt::Scheduler;
 using rt::SchedulerOptions;
+
+/// Convenience: run `root` on a fresh P-worker scheduler. One-shot — code
+/// that runs repeatedly should hold a Scheduler and reuse the pool.
 inline void run(unsigned num_workers, std::function<void()> root) {
-  rt::run(num_workers, std::move(root));
+  Scheduler(num_workers).run(std::move(root));
 }
 
 }  // namespace cilkm

@@ -62,6 +62,7 @@
 #include "runtime/parking.hpp"
 #include "util/assert.hpp"
 #include "util/cache.hpp"
+#include "util/spinlock.hpp"
 
 namespace cilkm::rt {
 
@@ -200,7 +201,7 @@ class Deque {
       const std::int64_t t = top_.load(std::memory_order_acquire);
       const std::int64_t b = bottom_.load(std::memory_order_acquire);
       if (t >= b) return 0;
-      if (b - t == 1 || !try_lock_thief()) {
+      if (b - t == 1 || !thief_lock_.try_lock()) {
         // One entry (nothing to batch), or another thief is mid-batch on
         // this victim — don't convoy behind it, grab a single frame on the
         // lock-free path instead.
@@ -221,7 +222,7 @@ class Deque {
       want = kMaxStealBatch;
     }
     if (want <= 0) {
-      unlock_thief();
+      thief_lock_.unlock();
       return 0;
     }
     // Announce the claim bound, then Dekker-fence against the owner's
@@ -235,7 +236,7 @@ class Deque {
     const std::int64_t k = b2 - t < want ? b2 - t : want;
     if (k <= 0) {
       exc_.store(kNoExc, std::memory_order_release);
-      unlock_thief();
+      thief_lock_.unlock();
       return 0;
     }
     // Read the claimed frames BEFORE the CAS (as in steal(): once top_
@@ -250,7 +251,7 @@ class Deque {
     const bool won = top_.compare_exchange_strong(
         t, t + k, std::memory_order_seq_cst, std::memory_order_relaxed);
     exc_.store(kNoExc, std::memory_order_release);
-    unlock_thief();
+    thief_lock_.unlock();
     return won ? static_cast<unsigned>(k) : 0;
   }
 
@@ -262,18 +263,6 @@ class Deque {
  private:
   static constexpr std::int64_t kNoExc =
       static_cast<std::int64_t>(INT64_MIN);
-
-  void lock_thief() noexcept {
-    while (thief_lock_.exchange(true, std::memory_order_acquire)) {
-      while (thief_lock_.load(std::memory_order_relaxed)) cpu_relax();
-    }
-  }
-  bool try_lock_thief() noexcept {
-    return !thief_lock_.exchange(true, std::memory_order_acquire);
-  }
-  void unlock_thief() noexcept {
-    thief_lock_.store(false, std::memory_order_release);
-  }
 
   /// push()'s wake-up, out of line: taken only while a worker is parked.
   /// Batched: one isolated push wakes at most one sleeper (the 1:1
@@ -303,10 +292,10 @@ class Deque {
 
   [[gnu::noinline]] SpawnFrame* take_locked(SpawnFrame* expected) noexcept {
     SpawnFrame* out = nullptr;
-    lock_thief();
+    thief_lock_.lock();
     [[maybe_unused]] const bool resolved = take_attempt(expected, &out);
     CILKM_DCHECK(resolved, "owner pop conflicted while holding thief lock");
-    unlock_thief();
+    thief_lock_.unlock();
     return out;
   }
 
@@ -421,7 +410,7 @@ class Deque {
   // --- thief-hot line: top_ + the steal-batch transaction state ---
   alignas(kCacheLineSize) std::atomic<std::int64_t> top_{0};
   std::atomic<std::int64_t> exc_{kNoExc};  // claim bound of an in-flight batch
-  std::atomic<bool> thief_lock_{false};    // serializes steal_batch thieves
+  SpinLock thief_lock_;                    // serializes steal_batch thieves
 
   alignas(kCacheLineSize) std::atomic<SpawnFrame*> buffer_[kCapacity]{};
 };

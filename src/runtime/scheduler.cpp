@@ -7,7 +7,6 @@
 #include <numeric>
 #include <utility>
 
-#include "mem/internal_alloc.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/trace.hpp"
 #include "tlmm/region.hpp"
@@ -132,11 +131,6 @@ void Scheduler::warm_up() {
 void Scheduler::worker_thread(Worker* w) {
   if (options_.pin) {
     topo::pin_current_thread(worker_cpu_[w->id()]);  // best-effort
-    // Bind this thread's allocator magazine to the pinned CPU's NUMA shard:
-    // every batch exchange (views, SPA pages, frames) stays node-local
-    // without per-refill CPU queries. Unpinned workers keep deriving the
-    // shard from wherever they currently run.
-    mem::InternalAlloc::bind_current_thread(worker_cpu_[w->id()]);
   }
   tls_worker = w;
   tlmm::tls_region_base = w->region_base();
@@ -247,11 +241,6 @@ void Scheduler::reset_stats() {
 
 std::uint64_t Scheduler::total_steals() const {
   return aggregate_stats()[StatCounter::kSteals];
-}
-
-void run(unsigned num_workers, std::function<void()> root) {
-  Scheduler scheduler(num_workers);
-  scheduler.run(std::move(root));
 }
 
 }  // namespace cilkm::rt

@@ -165,8 +165,4 @@ class Scheduler {
   bool shutdown_ = false;
 };
 
-/// Convenience: run `root` on a fresh P-worker scheduler. One-shot — code
-/// that runs repeatedly should hold a Scheduler and reuse the pool.
-void run(unsigned num_workers, std::function<void()> root);
-
 }  // namespace cilkm::rt

@@ -18,11 +18,7 @@ StackPool& StackPool::instance() {
   return pool;
 }
 
-StackPool::StackPool(const topo::Topology* topology,
-                     std::size_t max_cached_per_node)
-    : nodes_(topology != nullptr ? *topology : topo::Topology::machine()),
-      shards_(nodes_.num_shards()),
-      max_cached_per_node_(max_cached_per_node) {
+StackPool::StackPool(std::size_t max_cached) : max_cached_(max_cached) {
   // Fiber headers live in the internal allocator; touching it here pins the
   // construction order, so its (function-local static) instance outlives
   // this pool's destructor.
@@ -30,12 +26,10 @@ StackPool::StackPool(const topo::Topology* topology,
 }
 
 StackPool::~StackPool() {
-  for (Shard& s : shards_) {
-    while (s.head != nullptr) {
-      Fiber* fiber = s.head;
-      s.head = fiber->next;
-      destroy_fiber(fiber);
-    }
+  while (shard_.head != nullptr) {
+    Fiber* fiber = shard_.head;
+    shard_.head = fiber->next;
+    destroy_fiber(fiber);
   }
 }
 
@@ -87,7 +81,7 @@ Fiber* StackPool::acquire(LocalFiberCache* local) {
     --local->count;
     return fiber;
   }
-  Shard& s = shards_[nodes_.current_shard()];
+  Shard& s = shard_;
   {
     std::lock_guard guard(s.lock);
     if (s.head != nullptr) {
@@ -133,12 +127,10 @@ void StackPool::release(Fiber* fiber, LocalFiberCache* local) {
 }
 
 void StackPool::shard_release(Fiber* fiber) {
-  // Recycle into the *current* node's shard: the releasing worker (who
-  // touched the stack last) is its most likely next user.
-  Shard& s = shards_[nodes_.current_shard()];
+  Shard& s = shard_;
   {
     std::lock_guard guard(s.lock);
-    if (s.count < max_cached_per_node_) {
+    if (s.count < max_cached_) {
       fiber->next = s.head;
       s.head = fiber;
       ++s.count;
@@ -160,10 +152,9 @@ void StackPool::flush(LocalFiberCache& local) {
   local.count = 0;
 }
 
-std::size_t StackPool::cached(unsigned shard) const {
-  const Shard& s = shards_[shard];
-  std::lock_guard guard(const_cast<SpinLock&>(s.lock));
-  return s.count;
+std::size_t StackPool::cached() const {
+  std::lock_guard guard(const_cast<SpinLock&>(shard_.lock));
+  return shard_.count;
 }
 
 }  // namespace cilkm::rt

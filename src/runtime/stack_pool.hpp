@@ -1,19 +1,16 @@
 // Pooled, guard-paged fiber stacks. Fibers are the reproduction's stand-in
 // for Cilk-M's TLMM-backed cactus stack: each stolen branch and each
-// parked join continuation occupies one. Free fibers recycle through
-// per-NUMA-node shards (stack pages were first-touched on the node that
-// carved them; node-local recycling keeps them there), with a small
-// per-worker LIFO cache in front and a high-water trim behind: shards
-// munmap stacks beyond a per-node cap, so long-lived pools don't pin peak
-// RSS at the high-water mark of one burst. Fiber headers come from the
-// tagged internal allocator (AllocTag::kFiberStacks).
+// parked join continuation occupies one. Free fibers recycle through one
+// global shard, with a small per-worker LIFO cache in front and a
+// high-water trim behind: the shard munmaps stacks beyond its cap, so
+// long-lived pools don't pin peak RSS at the high-water mark of one burst.
+// Fiber headers come from the tagged internal allocator
+// (AllocTag::kFiberStacks).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <vector>
 
-#include "mem/node_map.hpp"
 #include "runtime/context.hpp"
 #include "util/cache.hpp"
 #include "util/spinlock.hpp"
@@ -30,7 +27,7 @@ struct Fiber {
 };
 
 /// A worker's local cache of free fibers: LIFO, single-owner, lock-free.
-/// Small — the node shard is the real reservoir; this just keeps the
+/// Small — the global shard is the real reservoir; this just keeps the
 /// steal/join hot path off the shard lock.
 struct LocalFiberCache {
   static constexpr std::size_t kMaxCached = 4;
@@ -38,8 +35,9 @@ struct LocalFiberCache {
   std::size_t count = 0;
 };
 
-/// Node-sharded stack pool. Thread-safe; instance() is the process-wide
-/// pool, standalone instances (tests) take an injected topology and cap.
+/// Stack pool: one spin-locked shard behind the per-worker caches.
+/// Thread-safe; instance() is the process-wide pool, standalone instances
+/// (tests) take their own trim cap.
 class StackPool {
  public:
   // Stacks are lazily committed (MAP_NORESERVE) so a generous virtual size
@@ -48,9 +46,9 @@ class StackPool {
   // deep spawn chains.
   static constexpr std::size_t kDefaultStackBytes = 8u << 20;
 
-  /// High-water trim: free fibers cached per node shard beyond this are
+  /// High-water trim: free fibers cached in the shard beyond this are
   /// destroyed (munmap + header free) instead of pooled.
-  static constexpr std::size_t kMaxCachedPerNode = 32;
+  static constexpr std::size_t kMaxCached = 32;
 
   /// Extra allocate_fresh attempts acquire() makes when stack memory is
   /// exhausted, with exponential backoff (1/2/4 ms) and a shard re-probe
@@ -59,8 +57,7 @@ class StackPool {
 
   static StackPool& instance();
 
-  explicit StackPool(const topo::Topology* topology = nullptr,
-                     std::size_t max_cached_per_node = kMaxCachedPerNode);
+  explicit StackPool(std::size_t max_cached = kMaxCached);
   ~StackPool();
 
   StackPool(const StackPool&) = delete;
@@ -68,14 +65,14 @@ class StackPool {
 
   /// Get a fiber with a fresh (or recycled) stack. The first (lowest) page is
   /// PROT_NONE so runaway recursion faults instead of corrupting memory.
-  /// With `local`, the worker's cache is tried before the node shard.
+  /// With `local`, the worker's cache is tried before the shard.
   /// Returns nullptr when stack memory is exhausted (mmap/mprotect/header
   /// failure) even after kAcquireRetries backed-off retries; the caller
   /// degrades instead of aborting.
   Fiber* acquire(LocalFiberCache* local = nullptr);
   void release(Fiber* fiber, LocalFiberCache* local = nullptr);
 
-  /// Drain a worker's cache into the node shards (worker teardown).
+  /// Drain a worker's cache into the shard (worker teardown).
   void flush(LocalFiberCache& local);
 
   /// Stacks ever created (for cactus-stack pressure accounting in tests).
@@ -83,9 +80,8 @@ class StackPool {
     return created_.load(std::memory_order_relaxed);
   }
 
-  /// Free fibers parked in one node shard (test hook).
-  std::size_t cached(unsigned shard) const;
-  unsigned num_shards() const noexcept { return nodes_.num_shards(); }
+  /// Free fibers parked in the shard (test hook).
+  std::size_t cached() const;
 
  private:
   struct alignas(kCacheLineSize) Shard {
@@ -98,9 +94,8 @@ class StackPool {
   void destroy_fiber(Fiber* fiber);
   void shard_release(Fiber* fiber);
 
-  mem::NodeMap nodes_;
-  std::vector<Shard> shards_;
-  std::size_t max_cached_per_node_;
+  Shard shard_;
+  std::size_t max_cached_;
   std::atomic<std::size_t> created_{0};
 };
 

@@ -47,7 +47,7 @@ JoinFrame* promote(SpawnFrame* frame) noexcept {
 Worker::Worker(Scheduler* sched, unsigned id) : id_(id), sched_(sched) {}
 
 Worker::~Worker() {
-  // Hand cached fibers back to the node shards; the pool (and its trim
+  // Hand cached fibers back to the pool's shard; the pool (and its trim
   // policy) outlives any one worker.
   StackPool::instance().flush(fiber_cache_);
 }

@@ -145,7 +145,7 @@ class alignas(1024) Worker {
   void* sched_tsan_ = nullptr;  // TSan state of the scheduler-loop stack
   Fiber* current_fiber_ = nullptr;
   Fiber* pending_recycle_ = nullptr;
-  LocalFiberCache fiber_cache_;  // lock-free front of the node-sharded pool
+  LocalFiberCache fiber_cache_;  // lock-free front of the global pool
   JoinFrame* pending_park_ = nullptr;
   SpawnFrame* launch_frame_ = nullptr;
   bool serial_mode_ = false;  // degraded frame in flight (see serial_spawns)

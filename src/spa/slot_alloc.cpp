@@ -28,8 +28,7 @@ std::uint64_t SlotAllocator::allocate(LocalSlotCache* cache) {
   if (cache != nullptr && !cache->slots.empty()) {
     const std::uint64_t offset = cache->slots.back();
     cache->slots.pop_back();
-    std::lock_guard lock(mutex_);
-    ++live_;
+    live_.fetch_add(1, std::memory_order_relaxed);
     return offset;
   }
   std::lock_guard lock(mutex_);
@@ -41,17 +40,14 @@ std::uint64_t SlotAllocator::allocate(LocalSlotCache* cache) {
       cache->slots.push_back(allocate_global_locked());
     }
   }
-  ++live_;
+  live_.fetch_add(1, std::memory_order_relaxed);
   return allocate_global_locked();
 }
 
 void SlotAllocator::free(std::uint64_t offset, LocalSlotCache* cache) {
   if (cache != nullptr) {
     cache->slots.push_back(offset);
-    {
-      std::lock_guard lock(mutex_);
-      --live_;
-    }
+    live_.fetch_sub(1, std::memory_order_relaxed);
     if (cache->slots.size() > LocalSlotCache::kHighWater) {
       // Rebalance: return a batch to the global pool (Hoard-style).
       std::lock_guard lock(mutex_);
@@ -62,8 +58,8 @@ void SlotAllocator::free(std::uint64_t offset, LocalSlotCache* cache) {
     }
     return;
   }
+  live_.fetch_sub(1, std::memory_order_relaxed);
   std::lock_guard lock(mutex_);
-  --live_;
   global_free_.push_back(offset);
 }
 
@@ -71,11 +67,6 @@ void SlotAllocator::flush(LocalSlotCache& cache) {
   std::lock_guard lock(mutex_);
   for (const std::uint64_t offset : cache.slots) global_free_.push_back(offset);
   cache.slots.clear();
-}
-
-std::size_t SlotAllocator::live_slots() {
-  std::lock_guard lock(mutex_);
-  return live_;
 }
 
 }  // namespace cilkm::spa

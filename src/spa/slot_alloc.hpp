@@ -6,6 +6,7 @@
 // fixed-size batches against a global pool.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -42,7 +43,9 @@ class SlotAllocator {
   void flush(LocalSlotCache& cache);
 
   /// Number of offsets currently handed out (live reducers); test hook.
-  std::size_t live_slots();
+  std::size_t live_slots() const noexcept {
+    return live_.load(std::memory_order_relaxed);
+  }
 
  private:
   std::uint64_t allocate_global_locked();
@@ -51,7 +54,8 @@ class SlotAllocator {
   std::vector<std::uint64_t> global_free_;
   std::uint32_t bump_page_ = 0;
   std::uint32_t bump_index_ = 0;
-  std::size_t live_ = 0;
+  // Relaxed: a counter only, so a local-cache hit takes no lock.
+  std::atomic<std::size_t> live_{0};
 };
 
 }  // namespace cilkm::spa

@@ -89,10 +89,10 @@ TEST(Context, ArgumentIsDeliveredToEntryFunction) {
 }
 
 TEST(StackPool, RecyclesFibers) {
-  // Recycle through an explicit per-worker cache: the shard path is only
-  // LIFO per node, and an unpinned test thread may migrate between the
-  // release and the re-acquire, so the local cache is the deterministic way
-  // to observe reuse.
+  // Recycle through an explicit per-worker cache: the shared shard may be
+  // fed or drained by other pools' workers between the release and the
+  // re-acquire, so the local cache is the deterministic way to observe
+  // reuse.
   auto& pool = StackPool::instance();
   cilkm::rt::LocalFiberCache cache;
   Fiber* f1 = pool.acquire(&cache);

@@ -1,18 +1,12 @@
-// The tagged, NUMA-sharded internal allocator (src/mem/): size-class
-// round-trips, per-tag accounting, magazine refill/flush batching,
-// cross-worker frees, the teardown leak check, node-shard selection against
-// canned sysfs topologies, the consumers rewired through it (JoinFrame,
-// HyperMap tables, fiber headers), the StackPool's per-node trim — and a
-// DPRNG-driven property test that random view merge/collapse orders keep
-// the allocator's books balanced under both view-store policies.
+// The tagged internal allocator (src/mem/): size-class round-trips, per-tag
+// accounting, magazine refill/flush batching against the global pool,
+// cross-worker frees, the teardown leak check, the consumers rewired through
+// it (JoinFrame, HyperMap tables, fiber headers), the StackPool's high-water
+// trim — and a DPRNG-driven property test that random view merge/collapse
+// orders keep the allocator's books balanced under both view-store policies.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <atomic>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -20,68 +14,17 @@
 
 #include "hypermap/hypermap.hpp"
 #include "mem/internal_alloc.hpp"
-#include "mem/node_map.hpp"
 #include "reducers/reducers.hpp"
 #include "runtime/api.hpp"
 #include "runtime/frame.hpp"
 #include "runtime/stack_pool.hpp"
 #include "test_support.hpp"
-#include "topo/topology.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
-namespace fs = std::filesystem;
 using cilkm::mem::AllocTag;
 using cilkm::mem::InternalAlloc;
-using cilkm::mem::NodeMap;
-using cilkm::topo::Topology;
-
-// Minimal canned-sysfs helper (same layout as test_topology.cpp's):
-// 2 packages x 2 cores x 2 SMT, node0 = cpus 0-3, node1 = cpus 4-7.
-class SysfsTree {
- public:
-  SysfsTree() {
-    static std::atomic<unsigned> counter{0};
-    root_ = fs::temp_directory_path() /
-            ("cilkm_alloc_test_" + std::to_string(::getpid()) + "_" +
-             std::to_string(counter.fetch_add(1)));
-    fs::create_directories(root_ / "cpu");
-  }
-  ~SysfsTree() {
-    std::error_code ec;
-    fs::remove_all(root_, ec);
-  }
-  SysfsTree(const SysfsTree&) = delete;
-  SysfsTree& operator=(const SysfsTree&) = delete;
-
-  std::string path() const { return root_.string(); }
-
-  void make_two_node_machine() {
-    write(root_ / "cpu" / "online", "0-7");
-    for (unsigned cpu = 0; cpu < 8; ++cpu) {
-      const fs::path topo =
-          root_ / "cpu" / ("cpu" + std::to_string(cpu)) / "topology";
-      fs::create_directories(topo);
-      write(topo / "physical_package_id", std::to_string(cpu / 4));
-      write(topo / "core_id", std::to_string((cpu % 4) / 2));
-    }
-    add_node(0, "0-3");
-    add_node(1, "4-7");
-  }
-  void add_node(unsigned node, const std::string& cpulist) {
-    const fs::path dir = root_ / "node" / ("node" + std::to_string(node));
-    fs::create_directories(dir);
-    write(dir / "cpulist", cpulist);
-  }
-
- private:
-  static void write(const fs::path& file, const std::string& content) {
-    std::ofstream out(file);
-    out << content << "\n";
-  }
-  fs::path root_;
-};
 
 // ---------------------------------------------------------------------------
 // Size classes
@@ -157,8 +100,7 @@ TEST(InternalAlloc, OversizeFallThroughStaysTagCounted) {
 // ---------------------------------------------------------------------------
 
 TEST(InternalAlloc, RefillMovesBatchesAndFlushReturnsThem) {
-  const Topology topo = Topology::flat(4);  // one shard: deterministic home
-  InternalAlloc alloc(&topo);
+  InternalAlloc alloc;
   const int cls = InternalAlloc::size_class(64);
 
   // Magazine A's first allocation finds the shard empty and carves a whole
@@ -169,14 +111,14 @@ TEST(InternalAlloc, RefillMovesBatchesAndFlushReturnsThem) {
   alloc.deallocate(p, 64, AllocTag::kViews, &a);
   alloc.flush(a);
   const std::size_t shard_after_flush =
-      alloc.shard_cached(0, AllocTag::kViews, cls);
+      alloc.shard_cached(AllocTag::kViews, cls);
   EXPECT_EQ(shard_after_flush, InternalAlloc::kChunkBytes / 64);
   EXPECT_GE(alloc.tag_stats(AllocTag::kViews).flushes, 1u);
 
   // Magazine B refills from the now-populated shard in kBatch units.
   InternalAlloc::Magazine b;
   void* q = alloc.allocate(64, AllocTag::kViews, &b);
-  EXPECT_EQ(alloc.shard_cached(0, AllocTag::kViews, cls),
+  EXPECT_EQ(alloc.shard_cached(AllocTag::kViews, cls),
             shard_after_flush - InternalAlloc::kBatch);
   alloc.deallocate(q, 64, AllocTag::kViews, &b);
   alloc.flush(b);
@@ -184,8 +126,7 @@ TEST(InternalAlloc, RefillMovesBatchesAndFlushReturnsThem) {
 }
 
 TEST(InternalAlloc, HighWaterDrainBoundsMagazineGrowth) {
-  const Topology topo = Topology::flat(2);
-  InternalAlloc alloc(&topo);
+  InternalAlloc alloc;
   const int cls = InternalAlloc::size_class(128);
 
   // Fill one magazine well past the high-water mark by freeing blocks that
@@ -196,10 +137,9 @@ TEST(InternalAlloc, HighWaterDrainBoundsMagazineGrowth) {
     ptrs.push_back(alloc.allocate(128, AllocTag::kGeneral, nullptr));
   }
   InternalAlloc::Magazine mag;
-  const std::size_t shard_before =
-      alloc.shard_cached(0, AllocTag::kGeneral, cls);
+  const std::size_t shard_before = alloc.shard_cached(AllocTag::kGeneral, cls);
   for (void* p : ptrs) alloc.deallocate(p, 128, AllocTag::kGeneral, &mag);
-  EXPECT_GT(alloc.shard_cached(0, AllocTag::kGeneral, cls), shard_before);
+  EXPECT_GT(alloc.shard_cached(AllocTag::kGeneral, cls), shard_before);
   EXPECT_GT(alloc.tag_stats(AllocTag::kGeneral).flushes, 0u);
   alloc.flush(mag);
   EXPECT_TRUE(alloc.leak_report().clean);
@@ -212,8 +152,7 @@ TEST(InternalAlloc, HighWaterDrainBoundsMagazineGrowth) {
 TEST(InternalAlloc, CrossMagazineFreeKeepsBooksBalanced) {
   // Views are routinely allocated on one worker and freed on another (the
   // hypermerge destroys the right-hand view wherever the join lands).
-  const Topology topo = Topology::flat(4);
-  InternalAlloc alloc(&topo);
+  InternalAlloc alloc;
   InternalAlloc::Magazine worker_a, worker_b;
   std::vector<void*> ptrs;
   for (int i = 0; i < 200; ++i) {
@@ -230,8 +169,7 @@ TEST(InternalAlloc, FreeHeavyMagazineFoldingFirstNeverWrapsThePeaks) {
   // A frees-only magazine reconciling before the allocating one drives the
   // live counts transiently below zero; the peaks must not record that as a
   // near-2^64 maximum.
-  const Topology topo = Topology::flat(4);
-  InternalAlloc alloc(&topo);
+  InternalAlloc alloc;
   InternalAlloc::Magazine a, b;
   constexpr std::size_t kBlocks = 40;  // > 2 refills, < the high-water drain
   std::vector<void*> ptrs;
@@ -313,70 +251,6 @@ TEST(InternalAlloc, LeakCheckTripsOnDeliberatelyLeakedBlock) {
 }
 
 // ---------------------------------------------------------------------------
-// Node-shard selection
-// ---------------------------------------------------------------------------
-
-TEST(NodeMapTest, TwoNodeSysfsMachineShardsByNode) {
-  SysfsTree tree;
-  tree.make_two_node_machine();
-  const Topology topo = Topology::discover_at(tree.path());
-  ASSERT_EQ(topo.num_nodes(), 2u);
-
-  NodeMap map(topo);
-  EXPECT_EQ(map.num_shards(), 2u);
-  for (unsigned cpu = 0; cpu < 4; ++cpu) EXPECT_EQ(map.shard_of_cpu(cpu), 0u);
-  for (unsigned cpu = 4; cpu < 8; ++cpu) EXPECT_EQ(map.shard_of_cpu(cpu), 1u);
-  EXPECT_EQ(map.shard_of_cpu(99), 0u);  // out of range → shard 0
-
-  InternalAlloc alloc(&topo);
-  EXPECT_EQ(alloc.num_shards(), 2u);
-  EXPECT_EQ(alloc.shard_of_cpu(2), 0u);
-  EXPECT_EQ(alloc.shard_of_cpu(6), 1u);
-}
-
-TEST(NodeMapTest, SparseNodeIdsAreDensified) {
-  SysfsTree tree;
-  tree.make_two_node_machine();
-  // Overwrite the node directories: ids 0 and 4 (sparse, as on some
-  // multi-socket boxes with memory-less nodes removed).
-  std::error_code ec;
-  fs::remove_all(fs::path(tree.path()) / "node", ec);
-  tree.add_node(0, "0-3");
-  tree.add_node(4, "4-7");
-  const Topology topo = Topology::discover_at(tree.path());
-  NodeMap map(topo);
-  EXPECT_EQ(map.num_shards(), 2u);
-  EXPECT_EQ(map.shard_of_cpu(0), 0u);
-  EXPECT_EQ(map.shard_of_cpu(7), 1u);
-}
-
-TEST(NodeMapTest, FlatTopologyCollapsesToOneShard) {
-  const Topology topo = Topology::flat(8);
-  NodeMap map(topo);
-  EXPECT_EQ(map.num_shards(), 1u);
-  EXPECT_EQ(map.current_shard(), 0u);  // no sched_getcpu query needed
-}
-
-TEST(InternalAlloc, BoundMagazineExchangesWithItsNodeShard) {
-  SysfsTree tree;
-  tree.make_two_node_machine();
-  const Topology topo = Topology::discover_at(tree.path());
-  InternalAlloc alloc(&topo);
-  const int cls = InternalAlloc::size_class(64);
-
-  // A magazine pinned to node 1 carves/flushes against shard 1 only.
-  InternalAlloc::Magazine mag;
-  mag.node = 1;
-  void* p = alloc.allocate(64, AllocTag::kViews, &mag);
-  alloc.deallocate(p, 64, AllocTag::kViews, &mag);
-  alloc.flush(mag);
-  EXPECT_EQ(alloc.shard_cached(0, AllocTag::kViews, cls), 0u);
-  EXPECT_EQ(alloc.shard_cached(1, AllocTag::kViews, cls),
-            InternalAlloc::kChunkBytes / 64);
-  EXPECT_TRUE(alloc.leak_report().clean);
-}
-
-// ---------------------------------------------------------------------------
 // Rewired consumers
 // ---------------------------------------------------------------------------
 
@@ -417,16 +291,14 @@ TEST(InternalAllocConsumers, HyperMapTablesUseTheHypermapTag) {
 }
 
 TEST(InternalAllocConsumers, StackPoolTrimsBeyondPerNodeHighWater) {
-  const Topology topo = Topology::flat(4);  // one shard
-  cilkm::rt::StackPool pool(&topo, /*max_cached_per_node=*/2);
-  ASSERT_EQ(pool.num_shards(), 1u);
+  cilkm::rt::StackPool pool(/*max_cached=*/2);
 
   std::vector<cilkm::rt::Fiber*> fibers;
   for (int i = 0; i < 5; ++i) fibers.push_back(pool.acquire());
   EXPECT_EQ(pool.total_created(), 5u);
   for (auto* f : fibers) pool.release(f);  // no local cache: straight to shard
   // The shard keeps at most the high-water count; the rest were unmapped.
-  EXPECT_EQ(pool.cached(0), 2u);
+  EXPECT_EQ(pool.cached(), 2u);
   // Re-acquiring two comes from the cache, the third is fresh.
   cilkm::rt::Fiber* a = pool.acquire();
   cilkm::rt::Fiber* b = pool.acquire();

@@ -179,6 +179,13 @@ TEST(Pedigree, HashIsAPureFunctionOfSeedAndPedigree) {
   EXPECT_NE(a.hash(ped), h);  // rank advanced
 }
 
+// The accessor every fork2join calls starts a cache line, so code placement
+// elsewhere cannot make it straddle two (pedigree.cpp).
+TEST(Pedigree, StrandAccessorStartsACacheLine) {
+  const auto address = reinterpret_cast<std::uintptr_t>(&current_strand);
+  EXPECT_EQ(address % 64, 0u) << std::hex << address;
+}
+
 // parallel_invoke and SpawnGroup desugar into fork2join, so their draw
 // streams inherit the same schedule independence.
 TEST(Pedigree, ParallelInvokeAndSpawnGroupAreDeterministic) {
